@@ -16,9 +16,7 @@ and shared noise terms that match no category at all.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from functools import reduce
 from pathlib import Path
 from typing import Sequence
 
@@ -87,9 +85,16 @@ class CategoryModel:
 
 
 def category_query(model: CategoryModel) -> QueryNode:
-    """OR-tree over the category's descriptors (sorted, left-associative)."""
-    terms = [Term(stem) for stem in sorted(model.descriptors)]
-    return reduce(Or, terms)
+    """OR-tree over the category's descriptors (sorted, balanced).
+
+    Neighbours are paired level by level, so n descriptors give a tree of
+    depth ceil(log2 n); max is exact, so the shape does not change a score.
+    """
+    nodes: list[QueryNode] = [Term(stem) for stem in sorted(model.descriptors)]
+    while len(nodes) > 1:
+        paired: list[QueryNode] = [Or(a, b) for a, b in zip(nodes[::2], nodes[1::2])]
+        nodes = paired + nodes[len(paired) * 2 :]
+    return nodes[0]
 
 
 def substitute_equivalents(doc: PositionalDocument, model: CategoryModel) -> PositionalDocument:
@@ -255,8 +260,8 @@ def evaluate(
 ) -> EvalReport:
     """Top-1 classification quality over the labeled part of ``corpus``.
 
-    The prediction fan-out may run on several workers; the reduction is
-    order-fixed, so the report does not depend on the worker count.
+    ``workers`` is accepted for compatibility and has no effect: scoring is
+    pure Python, so threads gave no speedup under the interpreter lock.
     """
     if not corpus.labels:
         raise ValueError("corpus has no labels")
@@ -270,17 +275,9 @@ def evaluate(
         if label not in index:
             raise ValueError(f"document {doc.doc_id!r} has unknown label {label!r}")
 
-    def predict(doc: PositionalDocument) -> str:
-        return classify(doc, categories, cfg, mode)[0][0]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            predictions = list(pool.map(predict, labeled))
-    else:
-        predictions = [predict(doc) for doc in labeled]
-
     confusion = [[0] * len(names) for _ in names]
-    for doc, predicted in zip(labeled, predictions):
+    for doc in labeled:
+        predicted = classify(doc, categories, cfg, mode)[0][0]
         confusion[index[corpus.labels[doc.doc_id]]][index[predicted]] += 1
     return metrics_from_confusion(names, confusion)
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -263,15 +262,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     categories = load_categories(args.categories, cfg.load_stemmer())
     rbf = cfg.rbf_config()
     docs = list(corpus)
-
-    def top1(doc):
-        return classify(doc, categories, rbf, cfg.mode)[0]
-
-    if cfg.workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            tops = list(pool.map(top1, docs))
-    else:
-        tops = [top1(doc) for doc in docs]
+    tops = [classify(doc, categories, rbf, cfg.mode)[0] for doc in docs]
     for doc, (name, value) in zip(docs, tops):
         print(f"{doc.doc_id}\t{name}\t{value:.6f}")
     return 0
@@ -320,7 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="affix-rule file (default: packaged Arabic rules)",
     )
     common.add_argument("--seed", type=int, help="random seed for gen-synth")
-    common.add_argument("--workers", type=int, help="parallel workers for classify/eval")
+    common.add_argument("--workers", type=int, help="accepted for compatibility; has no effect")
     common.add_argument("--preset", choices=tuple(PRESET_WIDTHS), help="kernel width preset")
 
     parser = argparse.ArgumentParser(

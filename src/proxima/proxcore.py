@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -80,25 +81,34 @@ class InfluenceKernel:
         return math.exp(-(d * d) / (2.0 * sigma * sigma))
 
     def profile(self, offsets) -> np.ndarray:
-        """Kernel values at the given offsets, as one float64 array.
+        """Kernel values at integer offsets of either sign, as one float64 array.
 
-        Bit-identical to ``at`` per element (same expressions, scalar math).
+        Every value is gathered from a table of ``at(d)``, so it is
+        bit-identical to ``at`` by construction.  The table stops at k (where
+        every shape is 0) or at the largest distance, whichever comes first,
+        so time and memory stay linear in the input for any k.  Offsets that
+        are not integers raise TypeError.
         """
-        distances = np.abs(np.asarray(offsets, dtype=np.float64)).tolist()
-        k = float(self.k)
-        if self.shape == "triangular":
-            values = [max((k - d) / k, 0.0) for d in distances]
-        elif self.shape == "rectangular":
-            values = [1.0 if d < k else 0.0 for d in distances]
-        elif self.shape == "hanning":
-            values = [
-                0.5 * (1.0 + math.cos(math.pi * d / k)) if d < k else 0.0 for d in distances
-            ]
-        else:
-            sigma = k / 3.0
-            denominator = 2.0 * sigma * sigma
-            values = [math.exp(-(d * d) / denominator) if d < k else 0.0 for d in distances]
-        return np.array(values, dtype=np.float64)
+        offsets = np.asarray(offsets)
+        if offsets.size == 0:
+            return np.zeros(offsets.shape, dtype=np.float64)
+        if offsets.dtype.kind not in "iu":
+            raise TypeError(f"kernel profile takes integer offsets, got dtype {offsets.dtype}")
+        distances = np.abs(offsets.astype(np.int64, copy=False))
+        length = min(self.k, int(distances.max())) + 1
+        table = _kernel_table(self.shape, self.k, length)
+        return table[np.minimum(distances, length - 1)]
+
+
+# kernel instances are rebuilt per document and per NEAR, so tables are keyed
+# on the kernel's parameters rather than on the instance
+@lru_cache(maxsize=256)
+def _kernel_table(shape: str, k: int, length: int) -> np.ndarray:
+    """``[at(d) for d in range(length)]`` for the kernel (shape, k), read-only."""
+    kernel = InfluenceKernel(shape, k)
+    table = np.array([kernel.at(d) for d in range(length)], dtype=np.float64)
+    table.flags.writeable = False
+    return table
 
 
 def influence(kernel: InfluenceKernel, offset) -> float:

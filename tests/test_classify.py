@@ -4,6 +4,7 @@ import pytest
 
 import _reference as ref
 from proxima.classify import (
+    MODES,
     CategoryFormatError,
     CategoryModel,
     SynthSpecError,
@@ -53,6 +54,8 @@ class TestCategoryModel:
         )
         three = category_query(CategoryModel("x", frozenset({"c", "a", "b"})))
         assert three == Or(Or(Term("a"), Term("b")), Term("c"))
+        four = category_query(CategoryModel("x", frozenset({"d", "c", "a", "b"})))
+        assert four == Or(Or(Term("a"), Term("b")), Or(Term("c"), Term("d")))
 
 
 class TestSubstitution:
@@ -119,6 +122,33 @@ class TestClassify:
         doc = build_document("d", ["e", "e", "e"])
         ranking = classify(doc, categories, CFG)
         assert ranking[0] == ("x", 1.0)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_three_thousand_descriptors_match_reference(self, mode):
+        descriptors = [f"t{i:04d}" for i in range(3000)]
+        categories = [
+            CategoryModel("big", frozenset(descriptors)),
+            CategoryModel("small", frozenset({"z"})),
+        ]
+        stems = ["t0007", "n", "t2999", "z", "n", "t0007"]
+        configuration = RbfConfig(kernel=TRI5, kf=2)
+
+        def relevance(term, x):
+            if mode == "standard":
+                return ref.local_relevance(stems, term, x, "triangular", 5)
+            return ref.rbf_local_relevance(stems, term, x, "triangular", 5, 2)
+
+        expected = {
+            model.name: sum(
+                max(relevance(term, x) for term in model.descriptors) for x in range(len(stems))
+            )
+            / len(stems)
+            for model in categories
+        }
+        ranking = classify(build_document("d", stems), categories, configuration, mode)
+        assert [name for name, _ in ranking] == ["big", "small"]
+        for name, value in ranking:
+            assert value == pytest.approx(expected[name], abs=1e-12)
 
     def test_mode_and_category_validation(self):
         doc = build_document("d", ["a"])

@@ -77,6 +77,30 @@ class TestInfluenceKernel:
     def test_with_width(self):
         assert TRI5.with_width(9) == InfluenceKernel("triangular", 9)
 
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_profile_is_at_bit_for_bit(self, shape):
+        for k in range(1, 121):
+            kernel = InfluenceKernel(shape, k)
+            distances = list(range(3 * k + 3))
+            assert kernel.profile(distances).tolist() == [kernel.at(d) for d in distances]
+            assert kernel.profile(distances[::-1]).tolist() == [kernel.at(d) for d in distances[::-1]]
+            offsets = [-d for d in distances] + distances
+            assert kernel.profile(offsets).tolist() == [kernel.at(o) for o in offsets]
+        # the table stops at the largest distance, so a huge width costs nothing
+        huge = InfluenceKernel(shape, 10**9)
+        distances = [12345, 0, 7, 1, 12345]
+        assert huge.profile(distances).tolist() == [huge.at(d) for d in distances]
+        assert huge.profile([-12345, 12345]).tolist() == [huge.at(12345)] * 2
+        doc = build_document("d", ["a", "b", "b", "a", "b"])
+        assert term_profile(doc, "b", huge).tolist() == [
+            local_relevance(doc, "b", x, huge) for x in range(doc.n)
+        ]
+
+    def test_profile_rejects_non_integer_offsets(self):
+        with pytest.raises(TypeError):
+            TRI5.profile([0.0, 1.5])
+        assert TRI5.profile([]).tolist() == []
+
 
 class TestLocalRelevance:
     DOC = build_document("d", ["A", "B", "C", "A", "D"])
@@ -266,7 +290,7 @@ class TestEngineAgainstReference:
             node = _random_query(rng, vocabulary, 2)
             profile = query_profile(doc, node, kernel)
             pointwise = [eval_query_at(doc, node, x, kernel) for x in range(doc.n)]
-            np.testing.assert_allclose(profile, pointwise, atol=1e-15)
+            assert profile.tolist() == pointwise
 
 
 class TestInvariants:

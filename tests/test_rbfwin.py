@@ -3,7 +3,6 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
 import _reference as ref
@@ -238,21 +237,28 @@ class TestWindowLocality:
 
 
 class TestProfilesAndQueries:
+    @staticmethod
+    def _random_config(rng: random.Random) -> RbfConfig:
+        # configs vary within the process, so memoised windows are reused
+        # across kernels, window sizes and band multipliers
+        return RbfConfig(
+            kernel=InfluenceKernel(rng.choice(KERNEL_SHAPES), rng.randint(1, 9)),
+            kf=rng.choice([1, 2, 3, 4, 5, 17]),
+            threshold_scale=rng.choice([0.0, 0.5, 1.0, 2.0]),
+            clamp_output=rng.random() < 0.5,
+            neighbor_mode=rng.choice(["focal", "self"]),
+        )
+
     def test_profile_matches_scalar(self):
         rng = random.Random(55)
-        for _ in range(60):
+        for _ in range(200):
             stems = [rng.choice("abcq") for _ in range(rng.randint(1, 25))]
             doc = build_document("d", stems)
-            configuration = RbfConfig(
-                kernel=InfluenceKernel(rng.choice(KERNEL_SHAPES), rng.randint(1, 6)),
-                kf=rng.randint(1, 5),
-                threshold_scale=rng.choice([0.5, 1.0]),
-                clamp_output=rng.random() < 0.5,
-            )
+            configuration = self._random_config(rng)
             term = rng.choice("abcq")
             profile = rbf_term_profile(doc, term, configuration)
             pointwise = [rbf_local_relevance(doc, term, x, configuration) for x in range(doc.n)]
-            np.testing.assert_allclose(profile, pointwise, atol=1e-12)
+            assert profile.tolist() == pointwise
 
     def test_query_profile_matches_scalar(self):
         doc = build_document("d", ["a", "x", "b", "x", "a", "b"])
@@ -260,7 +266,16 @@ class TestProfilesAndQueries:
         node = parse_query("a AND b OR a NEAR/3 b")
         profile = rbf_query_profile(doc, node, configuration)
         pointwise = [rbf_eval_query_at(doc, node, x, configuration) for x in range(doc.n)]
-        np.testing.assert_allclose(profile, pointwise, atol=1e-12)
+        assert profile.tolist() == pointwise
+        rng = random.Random(56)
+        queries = ["a AND b OR a NEAR/3 b", "(a OR c) AND b", "a NEAR/1 c OR q", "b"]
+        for _ in range(100):
+            doc = build_document("d", [rng.choice("abcqx") for _ in range(rng.randint(1, 25))])
+            configuration = self._random_config(rng)
+            node = parse_query(rng.choice(queries))
+            profile = rbf_query_profile(doc, node, configuration)
+            pointwise = [rbf_eval_query_at(doc, node, x, configuration) for x in range(doc.n)]
+            assert profile.tolist() == pointwise
 
     def test_single_term_doc_single_term_query(self):
         doc = build_document("d", ["a"])
