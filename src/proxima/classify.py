@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
 
-from .posindex import Corpus, PositionalDocument, build_document
+from .posindex import Corpus, PositionalDocument, build_document, write_text_atomic
 from .proxcore import similarity
 from .querylang import Or, QueryNode, Term
 from .rbfwin import RbfConfig, rbf_similarity
@@ -404,7 +404,7 @@ def save_categories(models: Sequence[CategoryModel], path: str | Path) -> None:
             pairs = " ".join(f"{s}={d}" for s, d in sorted(model.equivalents.items()))
             lines.append(f"equivalents: {pairs}")
         chunks.append("\n".join(lines))
-    Path(path).write_text("\n\n".join(chunks) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n\n".join(chunks) + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ one `doc_id<TAB>label<TAB>stems` record per document).
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -22,6 +23,7 @@ __all__ = [
     "positions_of",
     "save_corpus",
     "load_corpus",
+    "write_text_atomic",
     "CORPUS_HEADER",
 ]
 
@@ -106,7 +108,26 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             if not stem or any(ch.isspace() for ch in stem):
                 raise ValueError(f"stem {stem!r} in {doc.doc_id!r} is not storable")
         lines.append(f"{doc.doc_id}\t{label}\t{' '.join(doc.stems)}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_text_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write UTF-8 ``text`` to ``path`` whole or not at all.
+
+    The text goes to a temp file beside ``path`` that ``os.replace`` then
+    moves over it, so a failed or interrupted write leaves the old file as it
+    was; on failure the temp file is removed.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
+    handle = open(temp, "x", encoding="utf-8")
+    try:
+        with handle:
+            handle.write(text)
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 def load_corpus(path: str | Path) -> Corpus:

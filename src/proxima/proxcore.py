@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "term_profile",
     "near_doc_relevance",
     "near_boolean",
+    "fold_query",
     "eval_query_at",
     "query_profile",
     "score",
@@ -195,42 +196,48 @@ def near_boolean(doc: PositionalDocument, term_a: str, term_b: str, k: int) -> b
     return gap is not None and gap < k
 
 
+def fold_query(node: QueryNode, leaf, settings):
+    """A query's relevance from its terms' ``leaf(stem, settings)``, walked without recursion.
+
+    Both sides of a NEAR/k get ``settings.with_width(k)`` instead (a kernel or
+    an RBF config).  AND and NEAR combine with ``np.minimum``, OR with
+    ``np.maximum``; both are exact, so scalar and array leaves go through the
+    same fold.  An explicit post-order stack holds nodes to visit and, under an
+    operator's children, the ufunc that combines their values, so any query
+    depth works.
+    """
+    minimum, maximum = np.minimum, np.maximum
+    stack: list = [node]
+    values: list = []
+    while stack:
+        item = stack.pop()
+        if item is minimum or item is maximum:
+            right = values.pop()
+            values.append(item(values.pop(), right))
+        elif isinstance(item, Term):
+            values.append(leaf(item.stem, settings))
+        elif isinstance(item, Near):
+            narrowed = settings.with_width(item.k)
+            values.append(minimum(leaf(item.left.stem, narrowed), leaf(item.right.stem, narrowed)))
+        elif isinstance(item, (And, Or)):
+            stack += (minimum if isinstance(item, And) else maximum, item.right, item.left)
+        else:
+            raise TypeError(f"not a query node: {item!r}")
+    return values.pop()
+
+
 def eval_query_at(doc: PositionalDocument, node: QueryNode, x: int, kernel: InfluenceKernel) -> float:
-    """Positional relevance of a query tree at position x.
+    """Positional relevance of a query tree at position x (which may lie outside the document).
 
     AND is min, OR is max; NEAR/k' is min over its two terms evaluated with
     the same kernel shape narrowed to width k'.
     """
-    if isinstance(node, Term):
-        return local_relevance(doc, node.stem, x, kernel)
-    if isinstance(node, And):
-        return min(eval_query_at(doc, node.left, x, kernel), eval_query_at(doc, node.right, x, kernel))
-    if isinstance(node, Or):
-        return max(eval_query_at(doc, node.left, x, kernel), eval_query_at(doc, node.right, x, kernel))
-    if isinstance(node, Near):
-        narrowed = kernel.with_width(node.k)
-        return min(
-            local_relevance(doc, node.left.stem, x, narrowed),
-            local_relevance(doc, node.right.stem, x, narrowed),
-        )
-    raise TypeError(f"not a query node: {node!r}")
+    return float(fold_query(node, lambda stem, kernel: local_relevance(doc, stem, x, kernel), kernel))
 
 
 def query_profile(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> np.ndarray:
     """eval_query_at over all in-document positions, as one array."""
-    if isinstance(node, Term):
-        return term_profile(doc, node.stem, kernel)
-    if isinstance(node, And):
-        return np.minimum(query_profile(doc, node.left, kernel), query_profile(doc, node.right, kernel))
-    if isinstance(node, Or):
-        return np.maximum(query_profile(doc, node.left, kernel), query_profile(doc, node.right, kernel))
-    if isinstance(node, Near):
-        narrowed = kernel.with_width(node.k)
-        return np.minimum(
-            term_profile(doc, node.left.stem, narrowed),
-            term_profile(doc, node.right.stem, narrowed),
-        )
-    raise TypeError(f"not a query node: {node!r}")
+    return fold_query(node, partial(term_profile, doc), kernel)
 
 
 def score(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> float:

@@ -9,6 +9,7 @@ Grammar (keywords case-insensitive, NEAR binds tightest, all left-associative):
     atom := TERM | '(' expr ')'
 
 NEAR takes plain terms on both sides and an explicit width, e.g. ``a NEAR/7 b``.
+Parentheses nest at most MAX_NESTING (100) levels deep.
 Terms are folded and stemmed at parse time (to a fixed point, so a rendered
 query re-parses to the same tree); stop words are deliberately not filtered
 here, unlike on the document side.
@@ -29,6 +30,7 @@ __all__ = [
     "Near",
     "QueryNode",
     "QueryParseError",
+    "MAX_NESTING",
     "parse_query",
     "render_query",
 ]
@@ -68,6 +70,10 @@ class QueryParseError(ValueError):
         super().__init__(f"column {column}: {message}")
         self.column = column
 
+
+# Deepest parenthesis nesting parse_query accepts; the parser recurses four
+# frames per level, so this keeps it well inside the interpreter's limit.
+MAX_NESTING = 100
 
 _WORD_RE = re.compile(r"[^\s()]+")
 _NEAR_RE = re.compile(r"near(/.*)?", re.IGNORECASE)
@@ -124,6 +130,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.stemmer = stemmer
+        self.depth = 0  # parentheses open around the current token
 
     def peek(self) -> _Token | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -176,6 +183,11 @@ class _Parser:
         if token is None:
             raise QueryParseError("expected a term or '('", self._end_column())
         if token.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise QueryParseError(
+                    f"parentheses nested deeper than {MAX_NESTING} levels", token.column
+                )
+            self.depth += 1
             node = self.parse_or()
             closing = self.next()
             if closing is None or closing.kind != ")":
@@ -183,6 +195,7 @@ class _Parser:
                     "unbalanced parentheses: expected ')'",
                     closing.column if closing else self._end_column(),
                 )
+            self.depth -= 1
             return node
         if token.kind == "term":
             stem = stem_to_fixpoint(token.text, self.stemmer)
@@ -200,13 +213,23 @@ def parse_query(text: str, stemmer: LightStemmer | None = None) -> QueryNode:
 
 
 def render_query(node: QueryNode) -> str:
-    """Canonical fully-parenthesized form; re-parsing it restores the tree."""
-    if isinstance(node, Term):
-        return node.stem
-    if isinstance(node, And):
-        return f"({render_query(node.left)} AND {render_query(node.right)})"
-    if isinstance(node, Or):
-        return f"({render_query(node.left)} OR {render_query(node.right)})"
-    if isinstance(node, Near):
-        return f"({node.left.stem} NEAR/{node.k} {node.right.stem})"
-    raise TypeError(f"not a query node: {node!r}")
+    """Canonical fully-parenthesized form; re-parsing it restores the tree.
+
+    Rendering walks an explicit stack, so trees of any depth render; only
+    those nested at most MAX_NESTING deep parse back.
+    """
+    parts: list[str] = []
+    stack: list = [node]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            parts.append(item)
+        elif isinstance(item, Term):
+            parts.append(item.stem)
+        elif isinstance(item, Near):
+            parts.append(f"({item.left.stem} NEAR/{item.k} {item.right.stem})")
+        elif isinstance(item, (And, Or)):
+            stack += (")", item.right, " AND " if isinstance(item, And) else " OR ", item.left, "(")
+        else:
+            raise TypeError(f"not a query node: {item!r}")
+    return "".join(parts)

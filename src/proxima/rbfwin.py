@@ -16,6 +16,10 @@ Neighbor values come in two flavors:
 - ``self``: the neighbor term's relevance at its own position.  Since every
   kernel peaks at 1 on an occurrence, these are identically 1 and the window
   statistics collapse; this literal variant is kept for comparison only.
+  ``rbf_term_profile`` uses that closed form: every shape's ``at(0)`` is
+  exactly 1.0, so it fills the windows with the constant 1.0 instead of
+  looking each neighbor up, which gives sigma 0, keeps every neighbor and
+  makes each boost the window's length.
 
 A window's boost depends only on its tuple of neighbor values and the band
 multiplier, and those values come from the finite set of kernel values
@@ -31,13 +35,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
 from .posindex import PositionalDocument
-from .proxcore import InfluenceKernel, local_relevance, term_profile
-from .querylang import And, Near, Or, QueryNode, Term
+from .proxcore import InfluenceKernel, fold_query, local_relevance, term_profile
+from .querylang import QueryNode
 
 __all__ = [
     "NEIGHBOR_MODES",
@@ -87,6 +91,9 @@ class RbfConfig:
 
     def with_kernel(self, kernel: InfluenceKernel) -> "RbfConfig":
         return replace(self, kernel=kernel)
+
+    def with_width(self, k: int) -> "RbfConfig":
+        return self.with_kernel(self.kernel.with_width(k))
 
 
 @dataclass(frozen=True)
@@ -182,12 +189,6 @@ def rbf_local_relevance(doc: PositionalDocument, term: str, x: int, cfg: RbfConf
     return raw
 
 
-def _neighbor_values(doc: PositionalDocument, term: str, cfg: RbfConfig, base: np.ndarray) -> list[float]:
-    if cfg.neighbor_mode == "focal":
-        return base.tolist()
-    return [local_relevance(doc, doc.stems[i], i, cfg.kernel) for i in range(doc.n)]
-
-
 @lru_cache(maxsize=_WINDOW_CACHE_SIZE)
 def _window_boost(window: tuple[float, ...], threshold_scale: float) -> float:
     """Sum of value * gaussian_rbf(value) over the window's semantic neighborhood."""
@@ -206,7 +207,8 @@ def rbf_term_profile(doc: PositionalDocument, term: str, cfg: RbfConfig) -> np.n
     n = doc.n
     if n == 0:
         return base
-    values = tuple(_neighbor_values(doc, term, cfg, base))
+    # in self mode each neighbour sits on its own occurrence, where every kernel is exactly 1.0
+    values = tuple(base.tolist()) if cfg.neighbor_mode == "focal" else (1.0,) * n
     kf = cfg.kf
     scale = cfg.threshold_scale
     boosts = [
@@ -220,36 +222,12 @@ def rbf_term_profile(doc: PositionalDocument, term: str, cfg: RbfConfig) -> np.n
 
 def rbf_eval_query_at(doc: PositionalDocument, node: QueryNode, x: int, cfg: RbfConfig) -> float:
     """Positional query relevance with every term boosted by its window."""
-    if isinstance(node, Term):
-        return rbf_local_relevance(doc, node.stem, x, cfg)
-    if isinstance(node, And):
-        return min(rbf_eval_query_at(doc, node.left, x, cfg), rbf_eval_query_at(doc, node.right, x, cfg))
-    if isinstance(node, Or):
-        return max(rbf_eval_query_at(doc, node.left, x, cfg), rbf_eval_query_at(doc, node.right, x, cfg))
-    if isinstance(node, Near):
-        narrowed = cfg.with_kernel(cfg.kernel.with_width(node.k))
-        return min(
-            rbf_local_relevance(doc, node.left.stem, x, narrowed),
-            rbf_local_relevance(doc, node.right.stem, x, narrowed),
-        )
-    raise TypeError(f"not a query node: {node!r}")
+    return float(fold_query(node, lambda stem, cfg: rbf_local_relevance(doc, stem, x, cfg), cfg))
 
 
 def rbf_query_profile(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) -> np.ndarray:
     """rbf_eval_query_at over all positions, as one array."""
-    if isinstance(node, Term):
-        return rbf_term_profile(doc, node.stem, cfg)
-    if isinstance(node, And):
-        return np.minimum(rbf_query_profile(doc, node.left, cfg), rbf_query_profile(doc, node.right, cfg))
-    if isinstance(node, Or):
-        return np.maximum(rbf_query_profile(doc, node.left, cfg), rbf_query_profile(doc, node.right, cfg))
-    if isinstance(node, Near):
-        narrowed = cfg.with_kernel(cfg.kernel.with_width(node.k))
-        return np.minimum(
-            rbf_term_profile(doc, node.left.stem, narrowed),
-            rbf_term_profile(doc, node.right.stem, narrowed),
-        )
-    raise TypeError(f"not a query node: {node!r}")
+    return fold_query(node, partial(rbf_term_profile, doc), cfg)
 
 
 def rbf_score(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) -> float:

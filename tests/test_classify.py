@@ -1,5 +1,7 @@
 """Category models, classification, evaluation and synthetic corpus tests."""
 
+import os
+
 import pytest
 
 import _reference as ref
@@ -300,6 +302,23 @@ class TestCategoryFiles:
         save_categories(models, path)
         loaded = load_categories(path)
         assert loaded == models
+
+    def test_failed_saves_keep_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "cats.txt"
+        save_categories([CategoryModel("sport", frozenset({"kora"}))], path)
+        before = path.read_bytes()
+        with pytest.raises(UnicodeEncodeError):  # a lone surrogate cannot be encoded
+            save_categories([CategoryModel("econ", frozenset({"\ud800"}))], path)
+        assert path.read_bytes() == before
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="replace failed"):
+            save_categories([CategoryModel("econ", frozenset({"mal"}))], path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["cats.txt"]
 
     def test_arabic_surface_forms_fold_to_stems(self, tmp_path):
         path = tmp_path / "cats.txt"

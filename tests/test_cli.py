@@ -97,6 +97,14 @@ class TestQuery:
         assert code == 2
         assert "error" in err
 
+    @pytest.mark.parametrize("depth", [300, 1000])
+    def test_too_deeply_nested_query_exits_2(self, capsys, tiny_corpus, depth):
+        corpus = self._indexed(capsys, tiny_corpus)
+        code, _, err = run(capsys, "query", str(corpus), "(" * depth + "a" + ")" * depth)
+        assert code == 2
+        assert "column 101" in err
+        assert "Traceback" not in err
+
     def test_missing_corpus_exits_1(self, capsys, tmp_path):
         code, _, err = run(capsys, "query", str(tmp_path / "nope.tsv"), "a")
         assert code == 1

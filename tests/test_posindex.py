@@ -1,5 +1,7 @@
 """Positional document indexing and corpus persistence tests."""
 
+import os
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
@@ -124,6 +126,33 @@ class TestPersistence:
         path.write_text(f"{CORPUS_HEADER}\nd1\t-\ta\nd1\t-\tb\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError, match="duplicate"):
             load_corpus(path)
+
+    def test_failed_write_keeps_old_file(self, tmp_path):
+        path = tmp_path / "c.tsv"
+        save_corpus(self._sample_corpus(), path)
+        before = path.read_bytes()
+        corpus = Corpus()
+        corpus.add(build_document("d1", ["\ud800"]))  # a lone surrogate cannot be encoded
+        with pytest.raises(UnicodeEncodeError):
+            save_corpus(corpus, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.tsv"]
+
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "c.tsv"
+        save_corpus(self._sample_corpus(), path)
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(os, "replace", fail)
+        corpus = Corpus()
+        corpus.add(build_document("d9", ["z"]))
+        with pytest.raises(OSError, match="replace failed"):
+            save_corpus(corpus, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["c.tsv"]
 
     def test_unstorable_values_rejected_on_save(self, tmp_path):
         corpus = Corpus()

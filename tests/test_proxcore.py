@@ -14,6 +14,7 @@ from proxima.proxcore import (
     KERNEL_SHAPES,
     InfluenceKernel,
     eval_query_at,
+    fold_query,
     influence,
     local_relevance,
     near_boolean,
@@ -54,6 +55,12 @@ class TestInfluenceKernel:
         assert influence(gau, 6) == 0.0  # truncated to keep support bounded
         sigma = 6 / 3
         assert influence(gau, 2) == pytest.approx(math.exp(-4 / (2 * sigma**2)))
+
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_peak_is_exactly_one(self, shape):
+        # rbfwin's self neighbour mode fills its windows with this constant
+        for k in [*range(1, 2000), 10**9]:
+            assert InfluenceKernel(shape, k).at(0) == 1.0
 
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     def test_symmetry_range_and_support(self, shape):
@@ -210,6 +217,19 @@ class TestEvalQuery:
         assert eval_query_at(doc, b, x, TRI5) == 0.6
         assert eval_query_at(doc, And(a, b), x, TRI5) == 0.6
         assert eval_query_at(doc, Or(a, b), x, TRI5) == 0.8
+        assert type(eval_query_at(doc, Or(a, b), x, TRI5)) is float
+
+    def test_fold_visits_leaves_left_to_right_with_near_widths(self):
+        calls = []
+
+        def leaf(stem, kernel):
+            calls.append((stem, kernel))
+            return {"a": 0.2, "b": 0.9, "c": 0.5}[stem]
+
+        assert fold_query(parse_query("a OR b NEAR/3 c"), leaf, TRI5) == 0.5
+        assert calls == [("a", TRI5), ("b", TRI5.with_width(3)), ("c", TRI5.with_width(3))]
+        with pytest.raises(TypeError, match="not a query node"):
+            fold_query(And(Term("a"), "b"), leaf, TRI5)
 
     def test_near_uses_narrowed_kernel(self):
         doc = build_document("d", ["A", "X", "B"])

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 
 from proxima.querylang import (
+    MAX_NESTING,
     And,
     Near,
     Or,
@@ -95,6 +96,16 @@ class TestParseErrors:
             parse_query("a AND")
         with pytest.raises(QueryParseError):
             parse_query("OR a")
+
+    def test_nesting_up_to_the_limit_parses(self):
+        assert parse_query("(" * MAX_NESTING + "a" + ")" * MAX_NESTING) == Term("a")
+        assert parse_query("(a) AND " * MAX_NESTING + "(b)").right == Term("b")
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 300, 1000])
+    def test_nesting_past_the_limit_raises_with_column(self, depth):
+        with pytest.raises(QueryParseError, match="nested") as err:
+            parse_query("x AND " + "(" * depth + "a" + ")" * depth)
+        assert err.value.column == len("x AND ") + MAX_NESTING + 1
 
 
 class TestRender:

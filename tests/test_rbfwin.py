@@ -43,6 +43,7 @@ class TestConfig:
     def test_with_kernel(self):
         narrowed = cfg(kf=3).with_kernel(TRI5.with_width(2))
         assert narrowed.kernel.k == 2
+        assert cfg(kf=3).with_width(2) == narrowed
         assert narrowed.kf == 3
 
 
