@@ -16,7 +16,7 @@ and shared noise terms that match no category at all.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -24,7 +24,7 @@ from .posindex import Corpus, PositionalDocument, build_document, write_text_ato
 from .proxcore import similarity
 from .querylang import Or, QueryNode, Term
 from .rbfwin import RbfConfig, rbf_similarity
-from .textprep import LightStemmer, stem_to_fixpoint
+from .textprep import LightStemmer, check_field, read_lines, read_settings, stem_to_fixpoint
 
 __all__ = [
     "CategoryModel",
@@ -61,8 +61,11 @@ class CategoryModel:
     equivalents: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not self.name or any(ch in self.name for ch in "\t\n"):
-            raise ValueError(f"bad category name {self.name!r}")
+        if not self.name or self.name != self.name.strip():
+            raise ValueError(
+                f"category name {self.name!r} may not be empty or start or end with whitespace"
+            )
+        check_field(self.name, "category name")
         if self.name == _MACRO:
             raise ValueError(f"category name {_MACRO!r} is reserved")
         if not self.descriptors:
@@ -80,7 +83,7 @@ class CategoryModel:
                 raise ValueError(
                     f"category {self.name!r}: {surface!r} is both descriptor and equivalent"
                 )
-            if not surface or any(ch.isspace() for ch in surface):
+            if not surface or "=" in surface or any(ch.isspace() for ch in surface):
                 raise ValueError(f"category {self.name!r}: bad equivalent {surface!r}")
 
 
@@ -298,16 +301,6 @@ class CategoryFormatError(ValueError):
     """Raised for malformed category files; messages carry the line number."""
 
 
-def _iter_lines(path: str | Path) -> list[tuple[int, str]]:
-    text = Path(path).read_text(encoding="utf-8")
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if line and not line.startswith("#"):
-            out.append((lineno, line))
-    return out
-
-
 @dataclass
 class _Block:
     name: str
@@ -392,7 +385,7 @@ def _parse_category_blocks(
 
 def load_categories(path: str | Path, stemmer: LightStemmer | None = None) -> list[CategoryModel]:
     """Read a category file (see module docs for the block grammar)."""
-    return _parse_category_blocks(_iter_lines(path), path, stemmer)
+    return _parse_category_blocks(read_lines(path), path, stemmer)
 
 
 def save_categories(models: Sequence[CategoryModel], path: str | Path) -> None:
@@ -516,42 +509,22 @@ def generate_synthetic_corpus(
     return corpus, models
 
 
+# Each spec parameter is read with the type of its default.
+_SPEC_CONVERTERS = {f.name: type(f.default) for f in fields(SyntheticSpec) if f.name != "categories"}
+
+
 def load_synthetic_spec(path: str | Path, stemmer: LightStemmer | None = None) -> SyntheticSpec:
     """Read a generator spec file: `key = value` parameters, then category blocks."""
-    lines = _iter_lines(path)
-    params: dict[str, str] = {}
-    body_start = 0
-    for body_start, (lineno, line) in enumerate(lines):
-        if ":" in line.partition("=")[0]:
-            break
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise SynthSpecError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        params[key.strip().lower()] = value.strip()
-    else:
-        body_start = len(lines)
+    lines = read_lines(path)
+    body = next(
+        (i for i, (_, line) in enumerate(lines) if ":" in line.partition("=")[0]), len(lines)
+    )
     try:
-        categories = _parse_category_blocks(lines[body_start:], path, stemmer)
-    except CategoryFormatError as exc:
+        params = read_settings(lines[:body], _SPEC_CONVERTERS, path)
+        categories = _parse_category_blocks(lines[body:], path, stemmer)
+    except ValueError as exc:
         raise SynthSpecError(str(exc)) from exc
-    kwargs: dict[str, object] = {"categories": tuple(categories)}
-    converters = {
-        "docs_per_category": int,
-        "doc_length": int,
-        "injection_rate": float,
-        "noise_rate": float,
-        "cross_rate": float,
-        "noise_vocab_size": int,
-    }
-    for key, raw in params.items():
-        converter = converters.get(key)
-        if converter is None:
-            raise SynthSpecError(f"{path}: unknown parameter {key!r}")
-        try:
-            kwargs[key] = converter(raw)
-        except ValueError as exc:
-            raise SynthSpecError(f"{path}: parameter {key!r}: {exc}") from exc
     try:
-        return SyntheticSpec(**kwargs)  # type: ignore[arg-type]
+        return SyntheticSpec(categories=tuple(categories), **params)  # type: ignore[arg-type]
     except SynthSpecError as exc:
         raise SynthSpecError(f"{path}: {exc}") from exc

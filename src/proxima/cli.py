@@ -12,8 +12,9 @@ Exit codes: 0 success, 1 I/O failure, 2 usage or content errors.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from .classify import (
@@ -38,6 +39,8 @@ from .textprep import (
     load_stemmer_rules,
     load_stoplist,
     preprocess,
+    read_lines,
+    read_settings,
 )
 
 __all__ = ["RunConfig", "ConfigError", "main"]
@@ -73,8 +76,8 @@ class RunConfig:
             raise ConfigError("k must be >= 1")
         if self.kf < 1:
             raise ConfigError("kf must be >= 1")
-        if self.threshold < 0:
-            raise ConfigError("threshold must be >= 0")
+        if not (math.isfinite(self.threshold) and self.threshold >= 0):
+            raise ConfigError(f"threshold must be finite and >= 0, got {self.threshold}")
         if self.workers < 1:
             raise ConfigError("workers must be >= 1")
 
@@ -120,35 +123,16 @@ _CONFIG_CONVERTERS = {
 }
 
 
-def _load_config_file(path: str) -> dict[str, object]:
-    entries: dict[str, object] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, eq, value = line.partition("=")
-        if not eq:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {line!r}")
-        key = key.strip().lower().replace("-", "_")
-        converter = _CONFIG_CONVERTERS.get(key)
-        if converter is None:
-            raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
-        try:
-            entries[key] = converter(value.strip())
-        except ValueError as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from exc
-    return entries
-
-
-_FLAG_FIELDS = ("kernel", "k", "kf", "threshold", "mode", "stoplist", "stemmer_rules", "seed", "workers")
-
-
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Layer defaults, config file, preset and explicit flags into a RunConfig."""
     cfg = RunConfig()
     preset = None
     if getattr(args, "config", None):
-        entries = _load_config_file(args.config)
+        lines = read_lines(args.config)
+        try:
+            entries = read_settings(lines, _CONFIG_CONVERTERS, args.config)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         preset = entries.pop("preset", None)
         cfg = replace(cfg, **entries)  # type: ignore[arg-type]
     if getattr(args, "preset", None):
@@ -158,9 +142,9 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"unknown preset {preset!r}, expected one of {tuple(PRESET_WIDTHS)}")
         cfg = replace(cfg, k=PRESET_WIDTHS[preset])
     overrides = {
-        name: getattr(args, name)
-        for name in _FLAG_FIELDS
-        if getattr(args, name, None) is not None
+        f.name: getattr(args, f.name)
+        for f in fields(RunConfig)
+        if getattr(args, f.name, None) is not None
     }
     if overrides:
         cfg = replace(cfg, **overrides)
@@ -172,7 +156,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
 def _doc_similarity(doc, node, cfg: RunConfig, rbf: RbfConfig) -> float:
     if cfg.mode == "rbf":
         return rbf_similarity(doc, node, rbf)
-    return similarity(doc, node, cfg.influence_kernel())
+    return similarity(doc, node, rbf.kernel)
 
 
 # ---------------------------------------------------------------------------
@@ -181,14 +165,11 @@ def _doc_similarity(doc, node, cfg: RunConfig, rbf: RbfConfig) -> float:
 
 def _read_manifest(path: str) -> dict[str, str]:
     labels: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split("\t")
-        if len(fields) != 2:
+    for lineno, line in read_lines(path):
+        cells = line.split("\t")
+        if len(cells) != 2:
             raise ValueError(f"{path}:{lineno}: expected filename<TAB>label")
-        labels[fields[0]] = fields[1]
+        labels[cells[0]] = cells[1]
     return labels
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .textprep import TokenStream
+from .textprep import TokenStream, check_field
 
 __all__ = [
     "PositionalDocument",
@@ -87,21 +87,15 @@ class CorpusFormatError(ValueError):
     """Raised for malformed corpus files; messages carry the line number."""
 
 
-def _check_field(value: str, what: str) -> str:
-    if "\t" in value or "\n" in value:
-        raise ValueError(f"{what} {value!r} may not contain tabs or newlines")
-    return value
-
-
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus file; ``load_corpus`` restores it exactly."""
     lines = [CORPUS_HEADER]
     for doc in corpus:
-        _check_field(doc.doc_id, "doc_id")
+        check_field(doc.doc_id, "doc_id")
         if not doc.doc_id:
             raise ValueError("doc_id may not be empty")
         label = corpus.labels.get(doc.doc_id, _UNLABELED)
-        _check_field(label, "label")
+        check_field(label, "label")
         if label == _UNLABELED and doc.doc_id in corpus.labels:
             raise ValueError(f"label {_UNLABELED!r} is reserved for unlabeled documents")
         for stem in doc.stems:

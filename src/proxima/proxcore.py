@@ -151,8 +151,8 @@ def term_profile(doc: PositionalDocument, term: str, kernel: InfluenceKernel) ->
     occ = np.asarray(occurrences, dtype=np.int64)
     xs = np.arange(n, dtype=np.int64)
     right = np.searchsorted(occ, xs)
-    left = np.clip(right - 1, 0, len(occ) - 1)
-    right = np.clip(right, 0, len(occ) - 1)
+    left = np.maximum(right - 1, 0)
+    right = np.minimum(right, len(occ) - 1)
     distance = np.minimum(np.abs(xs - occ[left]), np.abs(xs - occ[right]))
     return kernel.profile(distance)
 

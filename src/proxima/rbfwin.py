@@ -82,8 +82,8 @@ class RbfConfig:
     def __post_init__(self):
         if self.kf < 1:
             raise ValueError(f"window size kf must be >= 1, got {self.kf}")
-        if self.threshold_scale < 0.0:
-            raise ValueError(f"threshold_scale must be >= 0, got {self.threshold_scale}")
+        if not (math.isfinite(self.threshold_scale) and self.threshold_scale >= 0.0):
+            raise ValueError(f"threshold_scale must be finite and >= 0, got {self.threshold_scale}")
         if self.neighbor_mode not in NEIGHBOR_MODES:
             raise ValueError(
                 f"unknown neighbor_mode {self.neighbor_mode!r}, expected one of {NEIGHBOR_MODES}"

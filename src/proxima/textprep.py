@@ -14,7 +14,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 __all__ = [
     "TokenStream",
@@ -29,6 +29,9 @@ __all__ = [
     "load_stemmer_rules",
     "default_stoplist",
     "default_stemmer",
+    "read_lines",
+    "read_settings",
+    "check_field",
 ]
 
 _ALEF = "ا"
@@ -180,18 +183,61 @@ def preprocess(
 # Data files
 
 
-def _data_lines(path: str | Path) -> Iterator[tuple[int, str]]:
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+def read_lines(path: str | Path) -> list[tuple[int, str]]:
+    """The (line number, stripped line) pairs of a UTF-8 file, minus blank and '#' lines.
+
+    Every line-oriented input but the corpus and the query file is read here;
+    those keep their own loops because a doc id or a query may start with '#'.
+    """
+    lines = []
+    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line
+        if line and not line.startswith("#"):
+            lines.append((lineno, line))
+    return lines
+
+
+def read_settings(
+    lines: Iterable[tuple[int, str]],
+    converters: dict[str, Callable[[str], object]],
+    path: str | Path,
+) -> dict[str, object]:
+    """Parse ``key = value`` lines from ``read_lines``, converting each value by its key.
+
+    Keys are lower-cased and read '-' as '_'; a later line overrides an earlier
+    one.  Raises ValueError, naming ``path:lineno``, for a line without '=', a
+    key missing from ``converters``, or a value its converter rejects.
+    """
+    settings: dict[str, object] = {}
+    for lineno, line in lines:
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ValueError(f"{path}:{lineno}: expected key = value, got {line!r}")
+        key = key.strip().lower().replace("-", "_")
+        converter = converters.get(key)
+        if converter is None:
+            raise ValueError(f"{path}:{lineno}: unknown setting {key!r}")
+        try:
+            settings[key] = converter(value.strip())
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {key}: {exc}") from exc
+    return settings
+
+
+def check_field(value: str, what: str) -> None:
+    """Raise ValueError unless ``value`` fits in one tab-separated field of one line.
+
+    A field may hold no tab and no character at which ``str.splitlines``, and
+    so every file reader, breaks a line (``\\n \\r \\v \\f \\x1c-\\x1e \\x85
+    U+2028 U+2029``).
+    """
+    if "\t" in value or value.splitlines() not in ([], [value]):
+        raise ValueError(f"{what} {value!r} may not contain tabs or line breaks")
 
 
 def load_stoplist(path: str | Path) -> frozenset[str]:
     """Read a stop-list file (one word per line, '#' comments); entries are normalized."""
-    return frozenset(normalize_text(line) for _, line in _data_lines(path))
+    return frozenset(normalize_text(line) for _, line in read_lines(path))
 
 
 def load_stemmer_rules(path: str | Path) -> LightStemmer:
@@ -199,7 +245,7 @@ def load_stemmer_rules(path: str | Path) -> LightStemmer:
     prefixes: list[str] = []
     suffixes: list[str] = []
     section: list[str] | None = None
-    for lineno, line in _data_lines(path):
+    for lineno, line in read_lines(path):
         upper = line.upper()
         if upper == "PREFIXES":
             section = prefixes

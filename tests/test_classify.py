@@ -399,7 +399,7 @@ class TestSyntheticSpec:
         with pytest.raises(SynthSpecError, match="no categories"):
             load_synthetic_spec(path)
         path.write_text("mystery = 4\ncategory: x\ndescriptors: a\n", encoding="utf-8")
-        with pytest.raises(SynthSpecError, match="unknown parameter"):
+        with pytest.raises(SynthSpecError, match="unknown setting"):
             load_synthetic_spec(path)
         path.write_text("doc_length = four\ncategory: x\ndescriptors: a\n", encoding="utf-8")
         with pytest.raises(SynthSpecError, match="doc_length"):
