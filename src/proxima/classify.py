@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -86,6 +87,11 @@ class CategoryModel:
             if not surface or "=" in surface or any(ch.isspace() for ch in surface):
                 raise ValueError(f"category {self.name!r}: bad equivalent {surface!r}")
 
+    @cached_property
+    def query(self) -> QueryNode:
+        """``category_query(self)``, built once per model so its plan is reused."""
+        return category_query(self)
+
 
 def category_query(model: CategoryModel) -> QueryNode:
     """OR-tree over the category's descriptors (sorted, balanced).
@@ -101,11 +107,22 @@ def category_query(model: CategoryModel) -> QueryNode:
 
 
 def substitute_equivalents(doc: PositionalDocument, model: CategoryModel) -> PositionalDocument:
-    """Rewrite the category's equivalent stems to their descriptors, keeping positions."""
+    """Rewrite the category's equivalent stems to their descriptors, keeping positions.
+
+    The result equals ``build_document`` over the rewritten stems, but only
+    the descriptors' position lists are rebuilt: each takes over, merged in
+    order, the lists of the equivalents that map onto it.
+    """
     table = model.equivalents
-    if not table or not any(stem in table for stem in doc.inverted):
+    found = [stem for stem in doc.inverted if stem in table]
+    if not found:
         return doc
-    return build_document(doc.doc_id, tuple(table.get(stem, stem) for stem in doc.stems))
+    inverted = dict(doc.inverted)
+    for stem in found:
+        descriptor = table[stem]
+        inverted[descriptor] = sorted(inverted.get(descriptor, []) + inverted.pop(stem))
+    stems = tuple(map(table.get, doc.stems, doc.stems))
+    return PositionalDocument(doc_id=doc.doc_id, stems=stems, inverted=inverted)
 
 
 def classify(
@@ -122,11 +139,10 @@ def classify(
     ranking: list[tuple[str, float]] = []
     for model in categories:
         prepared = substitute_equivalents(doc, model)
-        query = category_query(model)
         if mode == "standard":
-            value = similarity(prepared, query, cfg.kernel)
+            value = similarity(prepared, model.query, cfg.kernel)
         else:
-            value = rbf_similarity(prepared, query, cfg)
+            value = rbf_similarity(prepared, model.query, cfg)
         ranking.append((model.name, value))
     ranking.sort(key=lambda pair: (-pair[1], pair[0]))
     return ranking

@@ -13,12 +13,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
 from .posindex import PositionalDocument, positions_of
-from .querylang import And, Near, Or, QueryNode, Term
+from .querylang import And, Or, QueryNode, query_plan
 
 __all__ = [
     "KERNEL_SHAPES",
@@ -30,6 +30,8 @@ __all__ = [
     "near_doc_relevance",
     "near_boolean",
     "fold_query",
+    "has_terms",
+    "present_profile",
     "eval_query_at",
     "query_profile",
     "score",
@@ -197,33 +199,68 @@ def near_boolean(doc: PositionalDocument, term_a: str, term_b: str, k: int) -> b
 
 
 def fold_query(node: QueryNode, leaf, settings):
-    """A query's relevance from its terms' ``leaf(stem, settings)``, walked without recursion.
+    """A query's relevance from its terms' ``leaf(stem, settings)``, folded over its plan.
 
     Both sides of a NEAR/k get ``settings.with_width(k)`` instead (a kernel or
     an RBF config).  AND and NEAR combine with ``np.minimum``, OR with
     ``np.maximum``; both are exact, so scalar and array leaves go through the
-    same fold.  An explicit post-order stack holds nodes to visit and, under an
-    operator's children, the ufunc that combines their values, so any query
-    depth works.
+    same fold.  A leaf may return None for a value that is exactly 0
+    everywhere: relevance is never negative, so an AND with such a side is
+    None too and an OR takes its other side, and the fold returns None when
+    the whole query is 0.  The plan is a flat list, so any query depth works.
     """
     minimum, maximum = np.minimum, np.maximum
-    stack: list = [node]
     values: list = []
-    while stack:
-        item = stack.pop()
-        if item is minimum or item is maximum:
-            right = values.pop()
-            values.append(item(values.pop(), right))
-        elif isinstance(item, Term):
-            values.append(leaf(item.stem, settings))
-        elif isinstance(item, Near):
-            narrowed = settings.with_width(item.k)
-            values.append(minimum(leaf(item.left.stem, narrowed), leaf(item.right.stem, narrowed)))
-        elif isinstance(item, (And, Or)):
-            stack += (minimum if isinstance(item, And) else maximum, item.right, item.left)
+    for step in query_plan(node):
+        if step is And:
+            right, left = values.pop(), values.pop()
+            values.append(None if left is None or right is None else minimum(left, right))
+        elif step is Or:
+            right, left = values.pop(), values.pop()
+            values.append(
+                right if left is None else left if right is None else maximum(left, right)
+            )
         else:
-            raise TypeError(f"not a query node: {item!r}")
+            stem, width = step
+            values.append(leaf(stem, settings if width is None else settings.with_width(width)))
     return values.pop()
+
+
+def has_terms(doc: PositionalDocument, node: QueryNode) -> bool:
+    """Whether the query holds in ``doc`` as a boolean over term presence alone.
+
+    A term needs its stem in ``doc``, AND and NEAR need both sides, OR needs
+    either side.  When the answer is False, every nonzero value would need an
+    absent term, so the query's relevance is exactly 0 at every position.
+    """
+    inverted = doc.inverted
+    values: list = []
+    for step in query_plan(node):
+        if step is And:
+            right = values.pop()
+            values[-1] = values[-1] and right
+        elif step is Or:
+            right = values.pop()
+            values[-1] = values[-1] or right
+        else:
+            values.append(step[0] in inverted)
+    return values.pop()
+
+
+def present_profile(doc: PositionalDocument, node: QueryNode, profile, settings) -> np.ndarray:
+    """``fold_query`` over ``profile(doc, stem, settings)``, with absent terms as exact zeros.
+
+    ``profile`` must give 0 at every position for a term absent from ``doc``;
+    such terms are never profiled, and a query that folds to None gets one
+    array of zeros.
+    """
+    inverted = doc.inverted
+
+    def leaf(stem, settings):
+        return profile(doc, stem, settings) if stem in inverted else None
+
+    values = fold_query(node, leaf, settings)
+    return np.zeros(doc.n, dtype=np.float64) if values is None else values
 
 
 def eval_query_at(doc: PositionalDocument, node: QueryNode, x: int, kernel: InfluenceKernel) -> float:
@@ -237,7 +274,7 @@ def eval_query_at(doc: PositionalDocument, node: QueryNode, x: int, kernel: Infl
 
 def query_profile(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> np.ndarray:
     """eval_query_at over all in-document positions, as one array."""
-    return fold_query(node, partial(term_profile, doc), kernel)
+    return present_profile(doc, node, term_profile, kernel)
 
 
 def score(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> float:
@@ -246,9 +283,12 @@ def score(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> 
 
 
 def similarity(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> float:
-    """Length-normalized score in [0, 1]; empty documents score 0."""
+    """Length-normalized score in [0, 1]; empty documents score 0.
+
+    A document that fails ``has_terms`` scores exactly 0 without any profile.
+    """
     n = doc.n
-    if n == 0:
+    if n == 0 or not has_terms(doc, node):
         return 0.0
     return score(doc, node, kernel) / n
 

@@ -13,12 +13,17 @@ Parentheses nest at most MAX_NESTING (100) levels deep.
 Terms are folded and stemmed at parse time (to a fixed point, so a rendered
 query re-parses to the same tree); stop words are deliberately not filtered
 here, unlike on the document side.
+
+Scoring folds a query's ``plan``, its post-order list of steps, rather than
+the tree.  The plan is built once per query and cached on the query's root
+node, so it lives exactly as long as the tree does.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 from .textprep import LightStemmer, stem_to_fixpoint
@@ -32,35 +37,73 @@ __all__ = [
     "QueryParseError",
     "MAX_NESTING",
     "parse_query",
+    "query_plan",
     "render_query",
 ]
 
 
+class _Node:
+    """Base of the query node classes: each tree caches its own plan."""
+
+    @cached_property
+    def plan(self) -> tuple:
+        """The query as post-order steps; see ``query_plan``."""
+        steps: list = []
+        stack: list = [self]
+        while stack:
+            item = stack.pop()
+            if item is And or item is Or:
+                steps.append(item)
+            elif isinstance(item, Term):
+                steps.append((item.stem, None))
+            elif isinstance(item, Near):
+                steps += ((item.left.stem, item.k), (item.right.stem, item.k), And)
+            elif isinstance(item, (And, Or)):
+                stack += (type(item), item.right, item.left)
+            else:
+                raise TypeError(f"not a query node: {item!r}")
+        return tuple(steps)
+
+
 @dataclass(frozen=True)
-class Term:
+class Term(_Node):
     stem: str
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Node):
     left: "QueryNode"
     right: "QueryNode"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Node):
     left: "QueryNode"
     right: "QueryNode"
 
 
 @dataclass(frozen=True)
-class Near:
+class Near(_Node):
     k: int
     left: Term
     right: Term
 
 
 QueryNode = Union[Term, And, Or, Near]
+
+
+def query_plan(node: QueryNode) -> tuple:
+    """The query as a post-order tuple of steps, built on first use and cached on ``node``.
+
+    A step is a leaf ``(stem, width)``, whose width is None for a plain term
+    and k for either side of a NEAR/k, or one of the classes ``And`` and
+    ``Or``, which combine the two values before it.  A NEAR/k is its two
+    leaves followed by ``And``, since NEAR is a min over its narrowed terms.
+    Raises TypeError for anything that is not a query tree.
+    """
+    if not isinstance(node, _Node):
+        raise TypeError(f"not a query node: {node!r}")
+    return node.plan
 
 
 class QueryParseError(ValueError):

@@ -28,7 +28,9 @@ plus 0, so documents repeat the same few windows over and over.
 in a process-wide cache of fixed size.  The memo is exact: each entry is
 computed once by the same scalar code, and the same tuple always gives the
 same float, so cached and fresh boosts are bit-identical and values on the
-band edge cannot flip.
+band edge cannot flip.  In focal mode an all-zero window's boost is exactly
+0.0, so such windows are not looked up at all, and a document whose query
+fails ``has_terms`` is not profiled.
 """
 
 from __future__ import annotations
@@ -40,7 +42,14 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .posindex import PositionalDocument
-from .proxcore import InfluenceKernel, fold_query, local_relevance, term_profile
+from .proxcore import (
+    InfluenceKernel,
+    fold_query,
+    has_terms,
+    local_relevance,
+    present_profile,
+    term_profile,
+)
 from .querylang import QueryNode
 
 __all__ = [
@@ -202,21 +211,36 @@ def _window_boost(window: tuple[float, ...], threshold_scale: float) -> float:
 
 
 def rbf_term_profile(doc: PositionalDocument, term: str, cfg: RbfConfig) -> np.ndarray:
-    """rbf_local_relevance of ``term`` at every position, as one array."""
+    """rbf_local_relevance of ``term`` at every position, as one array.
+
+    In focal mode a window whose values are all 0 has mu = sigma = 0 and a
+    boost of exactly 0.0, so only the windows holding a nonzero value are
+    looked up; the others keep a boost of 0.0.
+    """
     base = term_profile(doc, term, cfg.kernel)
     n = doc.n
     if n == 0:
         return base
-    # in self mode each neighbour sits on its own occurrence, where every kernel is exactly 1.0
-    values = tuple(base.tolist()) if cfg.neighbor_mode == "focal" else (1.0,) * n
     kf = cfg.kf
+    if cfg.neighbor_mode == "focal":
+        values = tuple(base.tolist())
+        nonzero = base != 0.0
+        seen = np.concatenate(([0], np.cumsum(nonzero)))
+        xs = np.arange(n)
+        # the window around x holds a nonzero value when its count, less x's own, is positive
+        in_window = seen[np.minimum(xs + kf + 1, n)] - seen[np.maximum(xs - kf, 0)]
+        live = np.flatnonzero(in_window > nonzero).tolist()
+    else:
+        # each neighbour sits on its own occurrence, where every kernel is exactly 1.0
+        values = (1.0,) * n
+        live = range(n)
     scale = cfg.threshold_scale
-    boosts = [
-        _window_boost(values[max(0, x - kf) : x] + values[x + 1 : x + kf + 1], scale)
-        for x in range(n)
+    boosts = np.zeros(n, dtype=np.float64)
+    boosts[live] = [
+        _window_boost(values[max(0, x - kf) : x] + values[x + 1 : x + kf + 1], scale) for x in live
     ]
     # elementwise float64 addition and min round exactly like the scalar forms
-    raw = base + np.array(boosts, dtype=np.float64)
+    raw = base + boosts
     return np.minimum(raw, 1.0) if cfg.clamp_output else raw
 
 
@@ -227,6 +251,8 @@ def rbf_eval_query_at(doc: PositionalDocument, node: QueryNode, x: int, cfg: Rbf
 
 def rbf_query_profile(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) -> np.ndarray:
     """rbf_eval_query_at over all positions, as one array."""
+    if cfg.neighbor_mode == "focal":
+        return present_profile(doc, node, rbf_term_profile, cfg)
     return fold_query(node, partial(rbf_term_profile, doc), cfg)
 
 
@@ -236,8 +262,14 @@ def rbf_score(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) -> float
 
 
 def rbf_similarity(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) -> float:
-    """Length-normalized boosted score; stays in [0, 1] while clamping is on."""
+    """Length-normalized boosted score; stays in [0, 1] while clamping is on.
+
+    In focal mode a document that fails ``has_terms`` scores exactly 0: every
+    window of an absent term is all 0, so its boost is 0 too.  In self mode
+    every window is all 1.0, so an absent term is boosted and nothing is
+    skipped.
+    """
     n = doc.n
-    if n == 0:
+    if n == 0 or (cfg.neighbor_mode == "focal" and not has_terms(doc, node)):
         return 0.0
     return rbf_score(doc, node, cfg) / n

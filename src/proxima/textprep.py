@@ -241,7 +241,11 @@ def load_stoplist(path: str | Path) -> frozenset[str]:
 
 
 def load_stemmer_rules(path: str | Path) -> LightStemmer:
-    """Read an affix-rule file with PREFIXES / SUFFIXES sections, kept in file order."""
+    """Read an affix-rule file with PREFIXES / SUFFIXES sections, kept in file order.
+
+    Raises ValueError, naming ``path:lineno``, for an affix before any header
+    or one that normalizes to the empty string (such as a lone diacritic).
+    """
     prefixes: list[str] = []
     suffixes: list[str] = []
     section: list[str] | None = None
@@ -253,8 +257,11 @@ def load_stemmer_rules(path: str | Path) -> LightStemmer:
             section = suffixes
         elif section is None:
             raise ValueError(f"{path}:{lineno}: affix before a PREFIXES/SUFFIXES header")
+        elif affix := normalize_text(line):
+            section.append(affix)
         else:
-            section.append(normalize_text(line))
+            # an empty affix would strip every token down to nothing
+            raise ValueError(f"{path}:{lineno}: affix {line!r} normalizes to nothing")
     return LightStemmer(prefixes, suffixes)
 
 

@@ -2,7 +2,9 @@
 
 import os
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
 import _reference as ref
 from proxima.classify import (
@@ -72,6 +74,19 @@ class TestSubstitution:
     def test_untouched_document_is_reused(self):
         doc = build_document("d", ["n", "a"])
         assert substitute_equivalents(doc, self.MODEL) is doc
+
+    @given(
+        stems=st.lists(st.sampled_from(["a", "b", "e", "f", "g", "n"]), max_size=30),
+        targets=st.lists(st.sampled_from(["a", "b"]), min_size=3, max_size=3),
+    )
+    def test_equals_rebuilding_the_rewritten_document(self, stems, targets):
+        # e, f and g map onto a or b, so a descriptor may take over several lists
+        table = dict(zip(["e", "f", "g"], targets))
+        model = CategoryModel("x", frozenset({"a", "b"}), table)
+        doc = build_document("d", stems)
+        swapped = substitute_equivalents(doc, model)
+        assert swapped == build_document("d", [table.get(stem, stem) for stem in stems])
+        assert doc == build_document("d", stems)  # the input is left as it was
 
 
 class TestClassify:

@@ -53,6 +53,18 @@ class TestIndex:
         assert "d1\tlib\t" in body
         assert "d3\t-\t" in body
 
+    def test_stemmer_affix_that_normalizes_to_nothing_exits_2(self, capsys, tiny_corpus, tmp_path):
+        docs, corpus = tiny_corpus
+        rules = tmp_path / "rules.txt"
+        rules.write_text("SUFFIXES\n\u064e\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "index", str(docs), "--out", str(corpus), "--stemmer-rules", str(rules)
+        )
+        assert (code, out) == (2, "")
+        assert f"{rules}:2: affix" in err and "normalizes to nothing" in err
+        assert "Traceback" not in err
+        assert not corpus.exists()
+
     def test_empty_directory_fails(self, capsys, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()

@@ -175,6 +175,13 @@ class TestDataFiles:
         with pytest.raises(ValueError, match="PREFIXES/SUFFIXES"):
             load_stemmer_rules(path)
 
+    @pytest.mark.parametrize("affix", ["\u064e", "\u0640\u0651"])
+    def test_load_rules_rejects_affix_that_normalizes_to_nothing(self, tmp_path, affix):
+        path = tmp_path / "rules.txt"
+        path.write_text(f"PREFIXES\nال\nSUFFIXES\n{affix}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=f"rules.txt:4: affix {affix!r} normalizes to nothing"):
+            load_stemmer_rules(path)
+
     def test_min_stem_validation(self):
         with pytest.raises(ValueError):
             LightStemmer([], [], min_stem=0)
