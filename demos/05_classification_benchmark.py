@@ -1,7 +1,7 @@
 """Category classification: plain proximity versus the window boost.
 
-A category is a set of descriptor stems plus equivalent terms that rewrite
-to them.  Documents are ranked by their similarity to each category's
+A category is a set of descriptor stems plus equivalent terms that count
+as them.  Documents are ranked by their similarity to each category's
 OR-query; the evaluation harness reports per-category recall/precision/F1.
 
 The synthetic corpus plants each category's equivalent terms right next to

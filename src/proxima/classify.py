@@ -1,11 +1,11 @@
 """Category models, similarity classification, evaluation, synthetic corpora.
 
 A category is a set of descriptor stems plus a map of equivalent stems onto
-those descriptors.  A document is scored against a category by substituting
-the category's equivalents into the document and evaluating the OR-query of
-its descriptors; the highest-similarity category wins, with alphabetical
-tie-breaking.  The evaluation harness reports per-category recall/precision/F1
-and unweighted macro averages over top-1 predictions.
+those descriptors.  A document is scored, unchanged, by the OR-query of the
+category's descriptors, where each descriptor is a class leaf that also
+matches its equivalents; the highest-similarity category wins, with
+alphabetical tie-breaking.  The evaluation harness reports per-category
+recall/precision/F1 and unweighted macro averages over top-1 predictions.
 
 The synthetic generator stands in for a real labeled corpus: each document
 mixes clustered own-category vocabulary (descriptors with equivalent terms
@@ -93,13 +93,25 @@ class CategoryModel:
         return category_query(self)
 
 
+def _equivalents_by_descriptor(model: CategoryModel) -> dict[str, list[str]]:
+    """Each descriptor's equivalent stems, sorted."""
+    members: dict[str, list[str]] = {descriptor: [] for descriptor in model.descriptors}
+    for surface, descriptor in sorted(model.equivalents.items()):
+        members[descriptor].append(surface)
+    return members
+
+
 def category_query(model: CategoryModel) -> QueryNode:
     """OR-tree over the category's descriptors (sorted, balanced).
 
-    Neighbours are paired level by level, so n descriptors give a tree of
-    depth ceil(log2 n); max is exact, so the shape does not change a score.
+    A descriptor with equivalents is one class leaf, ``Term((descriptor,
+    *sorted_equivalents))`` (see ``positions_of``); a class has no query text,
+    so ``render_query`` raises TypeError.  Neighbours are paired level by
+    level, so n descriptors give a tree of depth ceil(log2 n); max is exact,
+    so the shape does not change a score.
     """
-    nodes: list[QueryNode] = [Term(stem) for stem in sorted(model.descriptors)]
+    classes = sorted(_equivalents_by_descriptor(model).items())
+    nodes: list[QueryNode] = [Term((d, *eqs) if eqs else d) for d, eqs in classes]
     while len(nodes) > 1:
         paired: list[QueryNode] = [Or(a, b) for a, b in zip(nodes[::2], nodes[1::2])]
         nodes = paired + nodes[len(paired) * 2 :]
@@ -111,7 +123,8 @@ def substitute_equivalents(doc: PositionalDocument, model: CategoryModel) -> Pos
 
     The result equals ``build_document`` over the rewritten stems, but only
     the descriptors' position lists are rebuilt: each takes over, merged in
-    order, the lists of the equivalents that map onto it.
+    order, the lists of the equivalents that map onto it: the positions of
+    its class leaf.  Scoring reads those leaves instead; this is their oracle.
     """
     table = model.equivalents
     found = [stem for stem in doc.inverted if stem in table]
@@ -136,14 +149,10 @@ def classify(
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if not categories:
         raise ValueError("need at least one category")
-    ranking: list[tuple[str, float]] = []
-    for model in categories:
-        prepared = substitute_equivalents(doc, model)
-        if mode == "standard":
-            value = similarity(prepared, model.query, cfg.kernel)
-        else:
-            value = rbf_similarity(prepared, model.query, cfg)
-        ranking.append((model.name, value))
+    if mode == "standard":
+        ranking = [(model.name, similarity(doc, model.query, cfg.kernel)) for model in categories]
+    else:
+        ranking = [(model.name, rbf_similarity(doc, model.query, cfg)) for model in categories]
     ranking.sort(key=lambda pair: (-pair[1], pair[0]))
     return ranking
 
@@ -326,20 +335,11 @@ class _Block:
 
 
 def _finish_block(block: _Block, path: str | Path) -> CategoryModel:
-    if not block.descriptors:
-        raise CategoryFormatError(
-            f"{path}:{block.lineno}: category {block.name!r} has no descriptors"
-        )
     descriptors = frozenset(block.descriptors)
     equivalents: dict[str, str] = {}
     for surface, descriptor in block.equivalents:
         if surface in descriptors:
             continue  # identity mapping after stemming; nothing to rewrite
-        if descriptor not in descriptors:
-            raise CategoryFormatError(
-                f"{path}:{block.lineno}: category {block.name!r}: equivalent "
-                f"{surface!r} maps to unknown descriptor {descriptor!r}"
-            )
         if surface in equivalents and equivalents[surface] != descriptor:
             raise CategoryFormatError(
                 f"{path}:{block.lineno}: category {block.name!r}: equivalent "
@@ -499,11 +499,7 @@ def generate_synthetic_corpus(
     }
     for model in models:
         descriptors = sorted(model.descriptors)
-        by_descriptor: dict[str, list[str]] = {d: [] for d in descriptors}
-        for surface, descriptor in model.equivalents.items():
-            by_descriptor[descriptor].append(surface)
-        for pool in by_descriptor.values():
-            pool.sort()
+        by_descriptor = _equivalents_by_descriptor(model)
         cross_pool = cross_pools[model.name]
         for j in range(spec.docs_per_category):
             tokens: list[str] = []

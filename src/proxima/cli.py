@@ -19,8 +19,6 @@ from pathlib import Path
 
 from .classify import (
     MODES,
-    CategoryFormatError,
-    SynthSpecError,
     classify,
     evaluate,
     generate_synthetic_corpus,
@@ -28,9 +26,9 @@ from .classify import (
     load_synthetic_spec,
     save_categories,
 )
-from .posindex import Corpus, CorpusFormatError, build_document, load_corpus, save_corpus
+from .posindex import Corpus, build_document, load_corpus, save_corpus
 from .proxcore import KERNEL_SHAPES, InfluenceKernel, similarity
-from .querylang import QueryParseError, parse_query
+from .querylang import parse_query
 from .rbfwin import RbfConfig, rbf_similarity
 from .textprep import (
     LightStemmer,
@@ -339,10 +337,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (QueryParseError, CorpusFormatError, CategoryFormatError, SynthSpecError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and every format error are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

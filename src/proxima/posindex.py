@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -57,9 +58,14 @@ def build_document(doc_id: str, stream: TokenStream | Iterable[str]) -> Position
 _NO_POSITIONS: list[int] = []
 
 
-def positions_of(doc: PositionalDocument, term: str) -> list[int]:
-    """Sorted occurrence positions of ``term`` in ``doc`` (empty if absent)."""
-    return doc.inverted.get(term, _NO_POSITIONS)
+def positions_of(doc: PositionalDocument, term: str | tuple[str, ...]) -> list[int]:
+    """Sorted occurrence positions of ``term`` in ``doc`` (empty if absent).
+
+    A tuple of stems is a class: its positions are its members', merged.
+    """
+    if isinstance(term, str):
+        return doc.inverted.get(term, _NO_POSITIONS)
+    return sorted(chain.from_iterable(doc.inverted.get(stem, _NO_POSITIONS) for stem in term))
 
 
 @dataclass

@@ -229,9 +229,9 @@ def fold_query(node: QueryNode, leaf, settings):
 def has_terms(doc: PositionalDocument, node: QueryNode) -> bool:
     """Whether the query holds in ``doc`` as a boolean over term presence alone.
 
-    A term needs its stem in ``doc``, AND and NEAR need both sides, OR needs
-    either side.  When the answer is False, every nonzero value would need an
-    absent term, so the query's relevance is exactly 0 at every position.
+    A term needs an occurrence (``positions_of``), AND and NEAR need both
+    sides, OR needs either side.  When the answer is False, every nonzero
+    value would need an absent term, so the relevance is 0 everywhere.
     """
     inverted = doc.inverted
     values: list = []
@@ -243,7 +243,9 @@ def has_terms(doc: PositionalDocument, node: QueryNode) -> bool:
             right = values.pop()
             values[-1] = values[-1] or right
         else:
-            values.append(step[0] in inverted)
+            # a plain stem is present when it is a key; positions_of resolves a class
+            stem = step[0]
+            values.append(stem in inverted if isinstance(stem, str) else bool(positions_of(doc, stem)))
     return values.pop()
 
 
@@ -254,10 +256,9 @@ def present_profile(doc: PositionalDocument, node: QueryNode, profile, settings)
     such terms are never profiled, and a query that folds to None gets one
     array of zeros.
     """
-    inverted = doc.inverted
 
     def leaf(stem, settings):
-        return profile(doc, stem, settings) if stem in inverted else None
+        return profile(doc, stem, settings) if positions_of(doc, stem) else None
 
     values = fold_query(node, leaf, settings)
     return np.zeros(doc.n, dtype=np.float64) if values is None else values

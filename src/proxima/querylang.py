@@ -67,7 +67,7 @@ class _Node:
 
 @dataclass(frozen=True)
 class Term(_Node):
-    stem: str
+    stem: str | tuple[str, ...]  # a tuple is a class of stems (see category_query)
 
 
 @dataclass(frozen=True)

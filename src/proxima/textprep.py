@@ -229,10 +229,12 @@ def check_field(value: str, what: str) -> None:
 
     A field may hold no tab and no character at which ``str.splitlines``, and
     so every file reader, breaks a line (``\\n \\r \\v \\f \\x1c-\\x1e \\x85
-    U+2028 U+2029``).
+    U+2028 U+2029``), and no lone surrogate, which UTF-8 cannot encode.
     """
     if "\t" in value or value.splitlines() not in ([], [value]):
         raise ValueError(f"{what} {value!r} may not contain tabs or line breaks")
+    if re.search("[\ud800-\udfff]", value):
+        raise ValueError(f"{what} {value!r} may not contain lone surrogates")
 
 
 def load_stoplist(path: str | Path) -> frozenset[str]:

@@ -1,10 +1,11 @@
 """Category models, classification, evaluation and synthetic corpus tests."""
 
 import os
+import sys
 
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import _reference as ref
 from proxima.classify import (
@@ -24,10 +25,10 @@ from proxima.classify import (
     substitute_equivalents,
     uniform_synthetic_spec,
 )
-from proxima.posindex import Corpus, build_document
-from proxima.proxcore import InfluenceKernel
-from proxima.querylang import Or, Term
-from proxima.rbfwin import RbfConfig
+from proxima.posindex import Corpus, build_document, positions_of
+from proxima.proxcore import KERNEL_SHAPES, InfluenceKernel, similarity
+from proxima.querylang import Or, Term, query_plan, render_query
+from proxima.rbfwin import NEIGHBOR_MODES, RbfConfig, rbf_similarity
 
 TRI5 = InfluenceKernel("triangular", 5)
 CFG = RbfConfig(kernel=TRI5, kf=5)
@@ -61,6 +62,15 @@ class TestCategoryModel:
         four = category_query(CategoryModel("x", frozenset({"d", "c", "a", "b"})))
         assert four == Or(Or(Term("a"), Term("b")), Or(Term("c"), Term("d")))
 
+    def test_descriptors_with_equivalents_become_class_leaves(self):
+        model = CategoryModel("x", frozenset({"b", "a"}), {"f": "a", "e": "a"})
+        assert category_query(model) == Or(Term(("a", "e", "f")), Term("b"))
+
+    def test_class_leaves_have_no_query_text(self):
+        with pytest.raises(TypeError):
+            render_query(category_query(CategoryModel("x", frozenset({"a"}), {"e": "a"})))
+        assert render_query(category_query(CategoryModel("x", frozenset({"a", "b"})))) == "(a OR b)"
+
 
 class TestSubstitution:
     MODEL = CategoryModel("x", frozenset({"a"}), {"e": "a"})
@@ -87,6 +97,69 @@ class TestSubstitution:
         swapped = substitute_equivalents(doc, model)
         assert swapped == build_document("d", [table.get(stem, stem) for stem in stems])
         assert doc == build_document("d", stems)  # the input is left as it was
+
+
+class TestClassLeaves:
+    """``classify`` reads equivalents through class leaves on the document as it is.
+
+    The oracle is the old route: substitute the equivalents into the document,
+    then score the descriptor-only query.  Documents draw from descriptors,
+    equivalents and noise alike, so many hold an equivalent without its
+    descriptor, and a descriptor may have no equivalents at all.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        stems=st.lists(st.sampled_from(["a", "b", "c", "e", "f", "g", "n"]), max_size=40),
+        targets=st.lists(st.sampled_from(["a", "b", "c", None]), min_size=3, max_size=3),
+        shape=st.sampled_from(KERNEL_SHAPES),
+        k=st.integers(1, 9),
+        kf=st.integers(1, 12),
+        threshold=st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 2.0),
+        clamp=st.booleans(),
+        neighbor_mode=st.sampled_from(NEIGHBOR_MODES),
+        mode=st.sampled_from(MODES),
+    )
+    def test_classify_equals_scoring_the_substituted_document(
+        self, stems, targets, shape, k, kf, threshold, clamp, neighbor_mode, mode
+    ):
+        table = {surface: d for surface, d in zip(["e", "f", "g"], targets) if d is not None}
+        model = CategoryModel("x", frozenset({"a", "b", "c"}), table)
+        doc = build_document("d", stems)
+        cfg = RbfConfig(InfluenceKernel(shape, k), kf, threshold, clamp, neighbor_mode)
+        swapped = substitute_equivalents(doc, model)
+        plain = category_query(CategoryModel("x", model.descriptors))
+        if mode == "standard":
+            expected = similarity(swapped, plain, cfg.kernel)
+        else:
+            expected = rbf_similarity(swapped, plain, cfg)
+        [(_, value)] = classify(doc, [model], cfg, mode)
+        assert value.hex() == expected.hex()
+        for step in query_plan(model.query):
+            if isinstance(step, tuple):  # a leaf; the other steps are Or
+                stem = step[0]
+                descriptor = stem if isinstance(stem, str) else stem[0]
+                assert positions_of(doc, stem) == positions_of(swapped, descriptor)
+
+    def test_classify_does_not_rewrite_documents(self, monkeypatch):
+        spec = uniform_synthetic_spec(3, 2, 4, docs_per_category=6, doc_length=40, cross_rate=0.3)
+        corpus, models = generate_synthetic_corpus(spec, 5)
+        cfg = RbfConfig(InfluenceKernel("triangular", 2), kf=3)
+
+        def results():
+            return [
+                ([classify(doc, models, cfg, mode) for doc in corpus], evaluate(corpus, models, cfg, mode))
+                for mode in MODES
+            ]
+
+        expected = results()
+
+        def refuse(*args):
+            raise AssertionError("classify rewrote a document")
+
+        # the package exports a function named classify, so fetch the module itself
+        monkeypatch.setattr(sys.modules["proxima.classify"], "substitute_equivalents", refuse)
+        assert results() == expected
 
 
 class TestClassify:

@@ -108,6 +108,16 @@ class TestSettings:
 
 
 class TestStorableFields:
+    def test_lone_surrogates_are_rejected_where_saved(self, tmp_path):
+        # str allows them, but no UTF-8 file can hold one
+        with pytest.raises(ValueError, match="lone surrogates"):
+            CategoryModel("a\ud800", frozenset({"kora"}))
+        corpus = Corpus()
+        corpus.add(build_document("d", ["kora"]), label="\udfff")
+        with pytest.raises(ValueError, match="lone surrogates"):
+            save_corpus(corpus, tmp_path / "c.tsv")
+        assert not (tmp_path / "c.tsv").exists()
+
     @pytest.mark.parametrize("ch", UNSTORABLE)
     def test_tabs_and_line_breaks_are_rejected_where_saved(self, ch, tmp_path):
         bad = f"a{ch}b"

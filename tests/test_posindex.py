@@ -63,6 +63,12 @@ class TestPositionsOf:
     def test_empty_document(self):
         assert positions_of(build_document("d", []), "A") == []
 
+    @given(stems_lists, st.lists(st.sampled_from("abcdez"), min_size=1, max_size=4, unique=True))
+    def test_a_class_occurs_wherever_a_member_does(self, stems, members):
+        doc = build_document("d", stems)
+        expected = [i for i, s in enumerate(stems) if s in members]
+        assert positions_of(doc, tuple(members)) == expected
+
 
 class TestCorpus:
     def test_duplicate_doc_id_rejected(self):
