@@ -25,7 +25,14 @@ from .posindex import Corpus, PositionalDocument, build_document, write_text_ato
 from .proxcore import similarity
 from .querylang import Or, QueryNode, Term
 from .rbfwin import RbfConfig, rbf_similarity
-from .textprep import LightStemmer, check_field, read_lines, read_settings, stem_to_fixpoint
+from .textprep import (
+    LightStemmer,
+    check_field,
+    is_storable_stem,
+    read_lines,
+    read_settings,
+    stem_to_fixpoint,
+)
 
 __all__ = [
     "CategoryModel",
@@ -37,6 +44,7 @@ __all__ = [
     "MODES",
     "category_query",
     "substitute_equivalents",
+    "mode_similarity",
     "classify",
     "evaluate",
     "metrics_from_confusion",
@@ -72,7 +80,7 @@ class CategoryModel:
         if not self.descriptors:
             raise ValueError(f"category {self.name!r} has no descriptors")
         for stem in self.descriptors:
-            if not stem or any(ch.isspace() for ch in stem):
+            if not is_storable_stem(stem):
                 raise ValueError(f"category {self.name!r}: bad descriptor {stem!r}")
         for surface, descriptor in self.equivalents.items():
             if descriptor not in self.descriptors:
@@ -84,7 +92,7 @@ class CategoryModel:
                 raise ValueError(
                     f"category {self.name!r}: {surface!r} is both descriptor and equivalent"
                 )
-            if not surface or "=" in surface or any(ch.isspace() for ch in surface):
+            if "=" in surface or not is_storable_stem(surface):
                 raise ValueError(f"category {self.name!r}: bad equivalent {surface!r}")
 
     @cached_property
@@ -138,6 +146,13 @@ def substitute_equivalents(doc: PositionalDocument, model: CategoryModel) -> Pos
     return PositionalDocument(doc_id=doc.doc_id, stems=stems, inverted=inverted)
 
 
+def mode_similarity(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig, mode: str) -> float:
+    """``rbf_similarity`` in rbf mode, else ``similarity`` under the config's kernel."""
+    if mode == "rbf":
+        return rbf_similarity(doc, node, cfg)
+    return similarity(doc, node, cfg.kernel)
+
+
 def classify(
     doc: PositionalDocument,
     categories: Sequence[CategoryModel],
@@ -149,10 +164,7 @@ def classify(
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if not categories:
         raise ValueError("need at least one category")
-    if mode == "standard":
-        ranking = [(model.name, similarity(doc, model.query, cfg.kernel)) for model in categories]
-    else:
-        ranking = [(model.name, rbf_similarity(doc, model.query, cfg)) for model in categories]
+    ranking = [(model.name, mode_similarity(doc, model.query, cfg, mode)) for model in categories]
     ranking.sort(key=lambda pair: (-pair[1], pair[0]))
     return ranking
 

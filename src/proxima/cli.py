@@ -24,12 +24,13 @@ from .classify import (
     generate_synthetic_corpus,
     load_categories,
     load_synthetic_spec,
+    mode_similarity,
     save_categories,
 )
 from .posindex import Corpus, build_document, load_corpus, save_corpus
-from .proxcore import KERNEL_SHAPES, InfluenceKernel, similarity
+from .proxcore import KERNEL_SHAPES, InfluenceKernel
 from .querylang import parse_query
-from .rbfwin import RbfConfig, rbf_similarity
+from .rbfwin import RbfConfig
 from .textprep import (
     LightStemmer,
     default_stemmer,
@@ -151,12 +152,6 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     return cfg
 
 
-def _doc_similarity(doc, node, cfg: RunConfig, rbf: RbfConfig) -> float:
-    if cfg.mode == "rbf":
-        return rbf_similarity(doc, node, rbf)
-    return similarity(doc, node, rbf.kernel)
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -224,7 +219,7 @@ def cmd_query(args: argparse.Namespace) -> int:
             (
                 (doc.doc_id, value)
                 for doc in corpus
-                if (value := _doc_similarity(doc, node, cfg, rbf)) > 0.0
+                if (value := mode_similarity(doc, node, rbf, cfg.mode)) > 0.0
             ),
             key=lambda pair: (-pair[1], pair[0]),
         )

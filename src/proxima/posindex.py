@@ -14,7 +14,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .textprep import TokenStream, check_field
+from .textprep import TokenStream, check_field, is_storable_stem
 
 __all__ = [
     "PositionalDocument",
@@ -105,7 +105,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         if label == _UNLABELED and doc.doc_id in corpus.labels:
             raise ValueError(f"label {_UNLABELED!r} is reserved for unlabeled documents")
         for stem in doc.stems:
-            if not stem or any(ch.isspace() for ch in stem):
+            if not is_storable_stem(stem):
                 raise ValueError(f"stem {stem!r} in {doc.doc_id!r} is not storable")
         lines.append(f"{doc.doc_id}\t{label}\t{' '.join(doc.stems)}")
     write_text_atomic(path, "\n".join(lines) + "\n")

@@ -226,12 +226,18 @@ def fold_query(node: QueryNode, leaf, settings):
     return values.pop()
 
 
+def _occurs(doc: PositionalDocument, stem: str | tuple[str, ...]) -> bool:
+    """Whether ``positions_of(doc, stem)`` is non-empty, without merging a class."""
+    inverted = doc.inverted
+    return stem in inverted if isinstance(stem, str) else any(s in inverted for s in stem)
+
+
 def has_terms(doc: PositionalDocument, node: QueryNode) -> bool:
     """Whether the query holds in ``doc`` as a boolean over term presence alone.
 
-    A term needs an occurrence (``positions_of``), AND and NEAR need both
-    sides, OR needs either side.  When the answer is False, every nonzero
-    value would need an absent term, so the relevance is 0 everywhere.
+    A term needs an occurrence (a class, one of its members), AND and NEAR
+    need both sides, OR needs either side.  When the answer is False, every
+    nonzero value would need an absent term, so the relevance is 0 everywhere.
     """
     inverted = doc.inverted
     values: list = []
@@ -243,9 +249,9 @@ def has_terms(doc: PositionalDocument, node: QueryNode) -> bool:
             right = values.pop()
             values[-1] = values[-1] or right
         else:
-            # a plain stem is present when it is a key; positions_of resolves a class
+            # this runs for every document scored, so a plain stem skips the call
             stem = step[0]
-            values.append(stem in inverted if isinstance(stem, str) else bool(positions_of(doc, stem)))
+            values.append(stem in inverted if isinstance(stem, str) else _occurs(doc, stem))
     return values.pop()
 
 
@@ -258,7 +264,7 @@ def present_profile(doc: PositionalDocument, node: QueryNode, profile, settings)
     """
 
     def leaf(stem, settings):
-        return profile(doc, stem, settings) if positions_of(doc, stem) else None
+        return profile(doc, stem, settings) if _occurs(doc, stem) else None
 
     values = fold_query(node, leaf, settings)
     return np.zeros(doc.n, dtype=np.float64) if values is None else values

@@ -8,18 +8,8 @@ neighbor adds its value weighted by a Gaussian density centered at mu.  The
 boosted relevance is the base value plus that sum, clamped to 1 by default
 so downstream scoring keeps its [0, 1] range.
 
-Neighbor values come in two flavors:
-
-- ``focal`` (default): a neighbor position's relevance with respect to the
-  focal term's own occurrences, i.e. how deep inside the term's influence
-  zone the neighbor sits.
-- ``self``: the neighbor term's relevance at its own position.  Since every
-  kernel peaks at 1 on an occurrence, these are identically 1 and the window
-  statistics collapse; this literal variant is kept for comparison only.
-  ``rbf_term_profile`` uses that closed form: every shape's ``at(0)`` is
-  exactly 1.0, so it fills the windows with the constant 1.0 instead of
-  looking each neighbor up, which gives sigma 0, keeps every neighbor and
-  makes each boost the window's length.
+A neighbor's value is its relevance with respect to the focal term's own
+occurrences, i.e. how deep inside the term's influence zone it sits.
 
 A window's boost depends only on its tuple of neighbor values and the band
 multiplier, and those values come from the finite set of kernel values
@@ -28,16 +18,16 @@ plus 0, so documents repeat the same few windows over and over.
 in a process-wide cache of fixed size.  The memo is exact: each entry is
 computed once by the same scalar code, and the same tuple always gives the
 same float, so cached and fresh boosts are bit-identical and values on the
-band edge cannot flip.  In focal mode an all-zero window's boost is exactly
-0.0, so such windows are not looked up at all, and a document whose query
-fails ``has_terms`` is not profiled.
+band edge cannot flip.  An all-zero window's boost is exactly 0.0, so such
+windows are not looked up at all, and a document whose query fails
+``has_terms`` is not profiled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache, partial
+from functools import lru_cache
 
 import numpy as np
 
@@ -53,7 +43,6 @@ from .proxcore import (
 from .querylang import QueryNode
 
 __all__ = [
-    "NEIGHBOR_MODES",
     "RbfConfig",
     "WindowStats",
     "window_neighbor_relevances",
@@ -67,8 +56,6 @@ __all__ = [
     "rbf_score",
     "rbf_similarity",
 ]
-
-NEIGHBOR_MODES = ("focal", "self")
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -86,17 +73,12 @@ class RbfConfig:
     kf: int = 5
     threshold_scale: float = 1.0
     clamp_output: bool = True
-    neighbor_mode: str = "focal"
 
     def __post_init__(self):
         if self.kf < 1:
             raise ValueError(f"window size kf must be >= 1, got {self.kf}")
         if not (math.isfinite(self.threshold_scale) and self.threshold_scale >= 0.0):
             raise ValueError(f"threshold_scale must be finite and >= 0, got {self.threshold_scale}")
-        if self.neighbor_mode not in NEIGHBOR_MODES:
-            raise ValueError(
-                f"unknown neighbor_mode {self.neighbor_mode!r}, expected one of {NEIGHBOR_MODES}"
-            )
 
     def with_kernel(self, kernel: InfluenceKernel) -> "RbfConfig":
         return replace(self, kernel=kernel)
@@ -126,33 +108,21 @@ def window_stats(values) -> WindowStats:
 
 
 def window_neighbor_relevances(
-    doc: PositionalDocument,
-    x: int,
-    cfg: RbfConfig,
-    term: str | None = None,
+    doc: PositionalDocument, x: int, cfg: RbfConfig, term: str
 ) -> list[tuple[int, float]]:
-    """(position, relevance) for every window neighbor of x, boundaries clipped.
+    """(position, relevance of ``term``) for every window neighbor of x, boundaries clipped.
 
     The window spans [x-kf, x+kf] intersected with the document, excluding x
-    itself.  ``term`` names the focal term and is required in focal mode.
+    itself.
     """
     n = doc.n
     if not 0 <= x < n:
         raise ValueError(f"position {x} outside document of length {n}")
-    if cfg.neighbor_mode == "focal" and term is None:
-        raise ValueError("focal neighbor mode needs the focal term")
-    lo = max(0, x - cfg.kf)
-    hi = min(n - 1, x + cfg.kf)
-    out: list[tuple[int, float]] = []
-    for i in range(lo, hi + 1):
-        if i == x:
-            continue
-        if cfg.neighbor_mode == "focal":
-            value = local_relevance(doc, term, i, cfg.kernel)
-        else:
-            value = local_relevance(doc, doc.stems[i], i, cfg.kernel)
-        out.append((i, value))
-    return out
+    return [
+        (i, local_relevance(doc, term, i, cfg.kernel))
+        for i in range(max(0, x - cfg.kf), min(n - 1, x + cfg.kf) + 1)
+        if i != x
+    ]
 
 
 def gaussian_rbf(value: float, stats: WindowStats) -> float:
@@ -213,27 +183,24 @@ def _window_boost(window: tuple[float, ...], threshold_scale: float) -> float:
 def rbf_term_profile(doc: PositionalDocument, term: str, cfg: RbfConfig) -> np.ndarray:
     """rbf_local_relevance of ``term`` at every position, as one array.
 
-    In focal mode a window whose values are all 0 has mu = sigma = 0 and a
-    boost of exactly 0.0, so only the windows holding a nonzero value are
-    looked up; the others keep a boost of 0.0.
+    A window whose values are all 0 has mu = sigma = 0 and a boost of exactly
+    0.0, so only the windows holding a nonzero value are looked up; the
+    others keep a boost of 0.0.
     """
     base = term_profile(doc, term, cfg.kernel)
     n = doc.n
     if n == 0:
         return base
-    kf = cfg.kf
-    if cfg.neighbor_mode == "focal":
-        values = tuple(base.tolist())
-        nonzero = base != 0.0
-        seen = np.concatenate(([0], np.cumsum(nonzero)))
-        xs = np.arange(n)
-        # the window around x holds a nonzero value when its count, less x's own, is positive
-        in_window = seen[np.minimum(xs + kf + 1, n)] - seen[np.maximum(xs - kf, 0)]
-        live = np.flatnonzero(in_window > nonzero).tolist()
-    else:
-        # each neighbour sits on its own occurrence, where every kernel is exactly 1.0
-        values = (1.0,) * n
-        live = range(n)
+    # every window is clipped to the document, so any kf >= n gives the same
+    # slices and indices; capping it keeps the index sums inside int64
+    kf = min(cfg.kf, n)
+    values = tuple(base.tolist())
+    nonzero = base != 0.0
+    seen = np.concatenate(([0], np.cumsum(nonzero)))
+    xs = np.arange(n)
+    # the window around x holds a nonzero value when its count, less x's own, is positive
+    in_window = seen[np.minimum(xs + kf + 1, n)] - seen[np.maximum(xs - kf, 0)]
+    live = np.flatnonzero(in_window > nonzero).tolist()
     scale = cfg.threshold_scale
     boosts = np.zeros(n, dtype=np.float64)
     boosts[live] = [
@@ -251,9 +218,7 @@ def rbf_eval_query_at(doc: PositionalDocument, node: QueryNode, x: int, cfg: Rbf
 
 def rbf_query_profile(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) -> np.ndarray:
     """rbf_eval_query_at over all positions, as one array."""
-    if cfg.neighbor_mode == "focal":
-        return present_profile(doc, node, rbf_term_profile, cfg)
-    return fold_query(node, partial(rbf_term_profile, doc), cfg)
+    return present_profile(doc, node, rbf_term_profile, cfg)
 
 
 def rbf_score(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) -> float:
@@ -264,12 +229,10 @@ def rbf_score(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) -> float
 def rbf_similarity(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) -> float:
     """Length-normalized boosted score; stays in [0, 1] while clamping is on.
 
-    In focal mode a document that fails ``has_terms`` scores exactly 0: every
-    window of an absent term is all 0, so its boost is 0 too.  In self mode
-    every window is all 1.0, so an absent term is boosted and nothing is
-    skipped.
+    A document that fails ``has_terms`` scores exactly 0: every window of an
+    absent term is all 0, so its boost is 0 too.
     """
     n = doc.n
-    if n == 0 or (cfg.neighbor_mode == "focal" and not has_terms(doc, node)):
+    if n == 0 or not has_terms(doc, node):
         return 0.0
     return rbf_score(doc, node, cfg) / n

@@ -32,6 +32,7 @@ __all__ = [
     "read_lines",
     "read_settings",
     "check_field",
+    "is_storable_stem",
 ]
 
 _ALEF = "ا"
@@ -235,6 +236,15 @@ def check_field(value: str, what: str) -> None:
         raise ValueError(f"{what} {value!r} may not contain tabs or line breaks")
     if re.search("[\ud800-\udfff]", value):
         raise ValueError(f"{what} {value!r} may not contain lone surrogates")
+
+
+def is_storable_stem(stem: str) -> bool:
+    """Whether ``stem`` is non-empty and holds no whitespace.
+
+    Corpus and category files store stems space-separated and read them back
+    with ``str.split``, which returns such a stem, and only such a stem, whole.
+    """
+    return stem.split() == [stem]
 
 
 def load_stoplist(path: str | Path) -> frozenset[str]:

@@ -109,19 +109,17 @@ class TestCriterion3RbfOracle:
             kf = rng.randint(1, 6)
             scale = rng.choice([0.0, 0.5, 1.0, 2.0])
             clamp = rng.random() < 0.5
-            mode = rng.choice(["focal", "self"])
             cfg = RbfConfig(
                 kernel=InfluenceKernel(shape, k),
                 kf=kf,
                 threshold_scale=scale,
                 clamp_output=clamp,
-                neighbor_mode=mode,
             )
             term = rng.choice("abcd")
             positions = {0, len(stems) - 1, rng.randrange(len(stems))}
             for x in positions:
                 expected = ref.rbf_local_relevance(
-                    stems, term, x, shape, k, kf, scale=scale, clamp=clamp, neighbor_mode=mode
+                    stems, term, x, shape, k, kf, scale=scale, clamp=clamp
                 )
                 worst = max(worst, abs(rbf_local_relevance(doc, term, x, cfg) - expected))
                 cases += 1

@@ -2,12 +2,14 @@
 
 import os
 import sys
+from collections import Counter
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import _reference as ref
+from proxima import proxcore
 from proxima.classify import (
     MODES,
     CategoryFormatError,
@@ -28,7 +30,7 @@ from proxima.classify import (
 from proxima.posindex import Corpus, build_document, positions_of
 from proxima.proxcore import KERNEL_SHAPES, InfluenceKernel, similarity
 from proxima.querylang import Or, Term, query_plan, render_query
-from proxima.rbfwin import NEIGHBOR_MODES, RbfConfig, rbf_similarity
+from proxima.rbfwin import RbfConfig, rbf_similarity
 
 TRI5 = InfluenceKernel("triangular", 5)
 CFG = RbfConfig(kernel=TRI5, kf=5)
@@ -117,16 +119,15 @@ class TestClassLeaves:
         kf=st.integers(1, 12),
         threshold=st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 2.0),
         clamp=st.booleans(),
-        neighbor_mode=st.sampled_from(NEIGHBOR_MODES),
         mode=st.sampled_from(MODES),
     )
     def test_classify_equals_scoring_the_substituted_document(
-        self, stems, targets, shape, k, kf, threshold, clamp, neighbor_mode, mode
+        self, stems, targets, shape, k, kf, threshold, clamp, mode
     ):
         table = {surface: d for surface, d in zip(["e", "f", "g"], targets) if d is not None}
         model = CategoryModel("x", frozenset({"a", "b", "c"}), table)
         doc = build_document("d", stems)
-        cfg = RbfConfig(InfluenceKernel(shape, k), kf, threshold, clamp, neighbor_mode)
+        cfg = RbfConfig(InfluenceKernel(shape, k), kf, threshold, clamp)
         swapped = substitute_equivalents(doc, model)
         plain = category_query(CategoryModel("x", model.descriptors))
         if mode == "standard":
@@ -160,6 +161,32 @@ class TestClassLeaves:
         # the package exports a function named classify, so fetch the module itself
         monkeypatch.setattr(sys.modules["proxima.classify"], "substitute_equivalents", refuse)
         assert results() == expected
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_each_present_class_leaf_is_merged_once(self, monkeypatch, mode):
+        spec = uniform_synthetic_spec(3, 2, 4, docs_per_category=6, doc_length=40, cross_rate=0.3)
+        corpus, models = generate_synthetic_corpus(spec, 5)
+        merged = Counter()
+        merge = proxcore.positions_of
+
+        def counting(doc, stem):
+            if not isinstance(stem, str):
+                merged[doc.doc_id, stem] += 1
+            return merge(doc, stem)
+
+        monkeypatch.setattr(proxcore, "positions_of", counting)
+        for doc in corpus:
+            classify(doc, models, CFG, mode)
+        # a class leaf is present when one of its members is; an absent one is never merged
+        expected = Counter(
+            (doc.doc_id, step[0])
+            for doc in corpus
+            for model in models
+            for step in query_plan(model.query)
+            if isinstance(step, tuple) and isinstance(step[0], tuple)
+            if any(stem in doc.inverted for stem in step[0])
+        )
+        assert expected and merged == expected
 
 
 class TestClassify:

@@ -245,6 +245,16 @@ class TestClassifyAndEval:
         assert code == 2
         assert "no labels" in err
 
+    @pytest.mark.parametrize("kf", [str(10**20), str(2**63 - 2)])
+    def test_huge_window_equals_one_spanning_every_document(self, capsys, synth_setup, kf):
+        corpus, cats = self._generated(capsys, synth_setup)
+        for command in ("eval", "classify"):
+            argv = [command, str(corpus), "--categories", str(cats), "--mode", "rbf", "--kf"]
+            # every generated document has doc_length = 40 positions
+            spanning = run(capsys, *argv, "40")
+            assert spanning[0] == 0
+            assert run(capsys, *argv, kf) == spanning
+
     def test_workers_do_not_change_output(self, capsys, synth_setup):
         corpus, cats = self._generated(capsys, synth_setup)
         _, serial, _ = run(capsys, "eval", str(corpus), "--categories", str(cats), "--mode", "rbf")

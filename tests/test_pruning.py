@@ -1,11 +1,11 @@
 """Scoring skips only work whose result is exactly 0, so pruned scores equal unpruned ones.
 
-``similarity`` and focal ``rbf_similarity`` return 0.0 for a document that
-fails ``has_terms``, the fold never profiles a term absent from the
-document, and focal ``rbf_term_profile`` skips windows holding no nonzero
-value.  The references below take none of these shortcuts: they evaluate
-every position with the scalar functions and sum the values as one array,
-so every comparison is ``==``, never a tolerance.
+``similarity`` and ``rbf_similarity`` return 0.0 for a document that fails
+``has_terms``, the fold never profiles a term absent from the document, and
+``rbf_term_profile`` skips windows holding no nonzero value.  The references
+below take none of these shortcuts: they evaluate every position with the
+scalar functions and sum the values as one array, so every comparison is
+``==``, never a tolerance.
 """
 
 import weakref
@@ -59,7 +59,6 @@ configs = st.builds(
     kf=st.integers(1, 17),
     threshold_scale=st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 2.0),
     clamp_output=st.booleans(),
-    neighbor_mode=st.sampled_from(["focal", "self"]),
 )
 EXACT = settings(max_examples=300, deadline=None)
 
@@ -129,14 +128,9 @@ def test_window_skipping_on_long_documents_with_rare_terms(monkeypatch, shape, c
             assert profile.tolist() == scalar
 
 
-def test_self_mode_boosts_an_absent_term():
+def test_absent_term_is_not_boosted():
     doc = build_document("d", ["a", "b", "c", "a"])
-    node = Term("z")
-    self_cfg = RbfConfig(InfluenceKernel("triangular", 3), kf=2, neighbor_mode="self")
-    value = rbf_similarity(doc, node, self_cfg)
-    assert value > 0.0
-    assert value == _pointwise_similarity(doc, lambda x: rbf_eval_query_at(doc, node, x, self_cfg))
-    assert rbf_similarity(doc, node, RbfConfig(InfluenceKernel("triangular", 3), kf=2)) == 0.0
+    assert rbf_similarity(doc, Term("z"), RbfConfig(InfluenceKernel("triangular", 3), kf=2)) == 0.0
 
 
 def test_parsed_query_is_freed_after_scoring():

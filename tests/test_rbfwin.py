@@ -37,8 +37,6 @@ class TestConfig:
             cfg(kf=0)
         with pytest.raises(ValueError, match="threshold"):
             cfg(threshold_scale=-0.1)
-        with pytest.raises(ValueError, match="neighbor_mode"):
-            cfg(neighbor_mode="literal")
 
     def test_with_kernel(self):
         narrowed = cfg(kf=3).with_kernel(TRI5.with_width(2))
@@ -67,11 +65,6 @@ class TestWindowNeighbors:
         neighbors = window_neighbor_relevances(doc, 0, cfg(kf=2), term="a")
         assert neighbors == [(1, 0.8), (2, 0.6)]
 
-    def test_self_mode_values_are_peak(self):
-        doc = build_document("d", ["a", "x", "y"])
-        neighbors = window_neighbor_relevances(doc, 0, cfg(kf=2, neighbor_mode="self"))
-        assert neighbors == [(1, 1.0), (2, 1.0)]
-
     def test_out_of_range_position_rejected(self):
         doc = build_document("d", ["a", "b"])
         with pytest.raises(ValueError, match="outside"):
@@ -79,7 +72,7 @@ class TestWindowNeighbors:
 
     def test_focal_mode_needs_term(self):
         doc = build_document("d", ["a", "b"])
-        with pytest.raises(ValueError, match="focal"):
+        with pytest.raises(TypeError, match="term"):
             window_neighbor_relevances(doc, 0, cfg())
 
 
@@ -162,18 +155,16 @@ class TestRbfLocalRelevance:
             kf = rng.randint(1, 6)
             scale = rng.choice([0.5, 1.0, 2.0])
             clamp = rng.random() < 0.5
-            mode = rng.choice(["focal", "self"])
             configuration = RbfConfig(
                 kernel=InfluenceKernel(shape, k),
                 kf=kf,
                 threshold_scale=scale,
                 clamp_output=clamp,
-                neighbor_mode=mode,
             )
             term = rng.choice(vocabulary)
             x = rng.randrange(len(stems))
             expected = ref.rbf_local_relevance(
-                stems, term, x, shape, k, kf, scale=scale, clamp=clamp, neighbor_mode=mode
+                stems, term, x, shape, k, kf, scale=scale, clamp=clamp
             )
             assert rbf_local_relevance(doc, term, x, configuration) == pytest.approx(
                 expected, abs=1e-9
@@ -247,7 +238,6 @@ class TestProfilesAndQueries:
             kf=rng.choice([1, 2, 3, 4, 5, 17]),
             threshold_scale=rng.choice([0.0, 0.5, 1.0, 2.0]),
             clamp_output=rng.random() < 0.5,
-            neighbor_mode=rng.choice(["focal", "self"]),
         )
 
     def test_profile_matches_scalar(self):
@@ -278,6 +268,16 @@ class TestProfilesAndQueries:
             pointwise = [rbf_eval_query_at(doc, node, x, configuration) for x in range(doc.n)]
             assert profile.tolist() == pointwise
 
+    def test_window_wider_than_any_index(self):
+        doc = build_document("d", list("abaqcba"))
+        wide, spanning = cfg(kf=2**63), cfg(kf=doc.n)
+        for term in "abq":
+            profile = rbf_term_profile(doc, term, wide).tolist()
+            assert profile == rbf_term_profile(doc, term, spanning).tolist()
+            assert profile == [rbf_local_relevance(doc, term, x, wide) for x in range(doc.n)]
+        node = parse_query("a AND b")
+        assert rbf_similarity(doc, node, wide) == rbf_similarity(doc, node, spanning)
+
     def test_single_term_doc_single_term_query(self):
         doc = build_document("d", ["a"])
         assert rbf_similarity(doc, Term("a"), cfg(kf=3)) == 1.0
@@ -285,11 +285,3 @@ class TestProfilesAndQueries:
     def test_empty_document(self):
         doc = build_document("d", [])
         assert rbf_similarity(doc, Term("a"), cfg()) == 0.0
-
-    def test_self_mode_window_collapses_to_peak_values(self):
-        doc = build_document("d", ["a", "b", "c", "d"])
-        configuration = cfg(kf=2, neighbor_mode="self", clamp_output=False)
-        # every neighbor value is 1, so mu=1, sigma=0 and each kept neighbor adds 1
-        value = rbf_local_relevance(doc, "a", 1, configuration)
-        base = local_relevance(doc, "a", 1, TRI5)
-        assert value == pytest.approx(base + 3.0)
