@@ -8,7 +8,7 @@ the upper envelope of its occurrences' influence.
 Run:  python demos/01_kernels_and_local_relevance.py
 """
 
-from proxima import InfluenceKernel, build_document, influence, local_relevance, term_profile
+from proxima import InfluenceKernel, build_document, local_relevance, term_profile
 
 # ---------------------------------------------------------------------------
 # The four kernel shapes at width k = 5.
@@ -22,7 +22,7 @@ print(f"kernel values, width k = {k}")
 print("offset:     " + "  ".join(f"{x:5d}" for x in offsets))
 for shape in ("triangular", "rectangular", "gaussian", "hanning"):
     kernel = InfluenceKernel(shape, k)
-    row = "  ".join(f"{influence(kernel, x):5.3f}" for x in offsets)
+    row = "  ".join(f"{kernel.at(x):5.3f}" for x in offsets)
     print(f"{shape:<12}" + row)
 
 # ---------------------------------------------------------------------------

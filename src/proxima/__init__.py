@@ -32,16 +32,13 @@ from .posindex import (
     save_corpus,
 )
 from .proxcore import (
-    DocQueryScore,
     InfluenceKernel,
     eval_query_at,
-    influence,
     local_relevance,
     near_boolean,
     near_doc_relevance,
     query_profile,
     score,
-    score_document,
     similarity,
     term_profile,
 )
@@ -59,7 +56,6 @@ from .rbfwin import (
 )
 from .textprep import (
     LightStemmer,
-    TokenStream,
     light_stem,
     normalize_text,
     preprocess,

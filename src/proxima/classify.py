@@ -296,13 +296,8 @@ def evaluate(
     categories: Sequence[CategoryModel],
     cfg: RbfConfig,
     mode: str = "standard",
-    workers: int = 1,
 ) -> EvalReport:
-    """Top-1 classification quality over the labeled part of ``corpus``.
-
-    ``workers`` is accepted for compatibility and has no effect: scoring is
-    pure Python, so threads gave no speedup under the interpreter lock.
-    """
+    """Top-1 classification quality over the labeled part of ``corpus``."""
     if not corpus.labels:
         raise ValueError("corpus has no labels")
     names = sorted(model.name for model in categories)

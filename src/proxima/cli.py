@@ -12,7 +12,6 @@ Exit codes: 0 success, 1 I/O failure, 2 usage or content errors.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -53,7 +52,11 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved settings shared by all subcommands."""
+    """Resolved settings shared by all subcommands.
+
+    The scoring settings are checked by the library classes they build, whose
+    ValueError becomes a ConfigError here.
+    """
 
     kernel: str = "triangular"
     k: int = 5
@@ -64,32 +67,18 @@ class RunConfig:
     stoplist: str | None = None
     stemmer_rules: str | None = None
     seed: int = 0
-    workers: int = 1
 
     def __post_init__(self):
-        if self.kernel not in KERNEL_SHAPES:
-            raise ConfigError(f"unknown kernel {self.kernel!r}, expected one of {KERNEL_SHAPES}")
         if self.mode not in MODES:
             raise ConfigError(f"unknown mode {self.mode!r}, expected one of {MODES}")
-        if self.k < 1:
-            raise ConfigError("k must be >= 1")
-        if self.kf < 1:
-            raise ConfigError("kf must be >= 1")
-        if not (math.isfinite(self.threshold) and self.threshold >= 0):
-            raise ConfigError(f"threshold must be finite and >= 0, got {self.threshold}")
-        if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
-
-    def influence_kernel(self) -> InfluenceKernel:
-        return InfluenceKernel(self.kernel, self.k)
+        try:
+            rbf = RbfConfig(InfluenceKernel(self.kernel, self.k), self.kf, self.threshold, self.clamp)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        object.__setattr__(self, "_rbf", rbf)
 
     def rbf_config(self) -> RbfConfig:
-        return RbfConfig(
-            kernel=self.influence_kernel(),
-            kf=self.kf,
-            threshold_scale=self.threshold,
-            clamp_output=self.clamp,
-        )
+        return self._rbf
 
     def load_stemmer(self) -> LightStemmer:
         return load_stemmer_rules(self.stemmer_rules) if self.stemmer_rules else default_stemmer()
@@ -133,6 +122,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         preset = entries.pop("preset", None)
+        entries.pop("workers", None)  # accepted for compatibility; has no effect
         cfg = replace(cfg, **entries)  # type: ignore[arg-type]
     if getattr(args, "preset", None):
         preset = args.preset
@@ -246,7 +236,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     corpus = load_corpus(args.corpus)
     categories = load_categories(args.categories, cfg.load_stemmer())
-    report = evaluate(corpus, categories, cfg.rbf_config(), cfg.mode, workers=cfg.workers)
+    report = evaluate(corpus, categories, cfg.rbf_config(), cfg.mode)
     print(report.as_table())
     print()
     print(report.as_records())

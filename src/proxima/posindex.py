@@ -14,7 +14,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .textprep import TokenStream, check_field, is_storable_stem
+from .textprep import check_field, is_storable_stem
 
 __all__ = [
     "PositionalDocument",
@@ -46,9 +46,9 @@ class PositionalDocument:
         return len(self.stems)
 
 
-def build_document(doc_id: str, stream: TokenStream | Iterable[str]) -> PositionalDocument:
+def build_document(doc_id: str, stems: Iterable[str]) -> PositionalDocument:
     """Index a stem sequence into a positional document."""
-    stems = tuple(stream.stems if isinstance(stream, TokenStream) else stream)
+    stems = tuple(stems)
     inverted: dict[str, list[int]] = {}
     for position, stem in enumerate(stems):
         inverted.setdefault(stem, []).append(position)
@@ -104,7 +104,7 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         check_field(label, "label")
         if label == _UNLABELED and doc.doc_id in corpus.labels:
             raise ValueError(f"label {_UNLABELED!r} is reserved for unlabeled documents")
-        for stem in doc.stems:
+        for stem in dict.fromkeys(doc.stems):  # each distinct stem once, in order
             if not is_storable_stem(stem):
                 raise ValueError(f"stem {stem!r} in {doc.doc_id!r} is not storable")
         lines.append(f"{doc.doc_id}\t{label}\t{' '.join(doc.stems)}")

@@ -18,13 +18,11 @@ from functools import lru_cache
 import numpy as np
 
 from .posindex import PositionalDocument, positions_of
-from .querylang import And, Or, QueryNode, query_plan
+from .querylang import And, Or, QueryNode, check_width, query_plan
 
 __all__ = [
     "KERNEL_SHAPES",
     "InfluenceKernel",
-    "DocQueryScore",
-    "influence",
     "local_relevance",
     "term_profile",
     "near_doc_relevance",
@@ -36,7 +34,6 @@ __all__ = [
     "query_profile",
     "score",
     "similarity",
-    "score_document",
 ]
 
 KERNEL_SHAPES = ("triangular", "rectangular", "gaussian", "hanning")
@@ -56,8 +53,7 @@ class InfluenceKernel:
     def __post_init__(self):
         if self.shape not in KERNEL_SHAPES:
             raise ValueError(f"unknown kernel shape {self.shape!r}, expected one of {KERNEL_SHAPES}")
-        if self.k < 1:
-            raise ValueError(f"kernel width must be >= 1, got {self.k}")
+        check_width(self.k, "kernel width")
 
     def with_width(self, k: int) -> "InfluenceKernel":
         return InfluenceKernel(self.shape, k)
@@ -112,11 +108,6 @@ def _kernel_table(shape: str, k: int, length: int) -> np.ndarray:
     table = np.array([kernel.at(d) for d in range(length)], dtype=np.float64)
     table.flags.writeable = False
     return table
-
-
-def influence(kernel: InfluenceKernel, offset) -> float:
-    """Influence of an occurrence on a position ``offset`` steps away."""
-    return kernel.at(offset)
 
 
 def _nearest_distance(positions: list[int], x: int) -> int | None:
@@ -182,8 +173,7 @@ def near_doc_relevance(doc: PositionalDocument, term_a: str, term_b: str, k: int
     distinct terms the two occurrences cannot coincide, so the value tops
     out at (k-1)/k.
     """
-    if k < 1:
-        raise ValueError(f"NEAR width must be >= 1, got {k}")
+    check_width(k, "NEAR width")
     gap = _min_gap(doc, term_a, term_b)
     if gap is None:
         return 0.0
@@ -192,8 +182,7 @@ def near_doc_relevance(doc: PositionalDocument, term_a: str, term_b: str, k: int
 
 def near_boolean(doc: PositionalDocument, term_a: str, term_b: str, k: int) -> bool:
     """Classic boolean NEAR: some occurrence pair lies strictly under k positions apart."""
-    if k < 1:
-        raise ValueError(f"NEAR width must be >= 1, got {k}")
+    check_width(k, "NEAR width")
     gap = _min_gap(doc, term_a, term_b)
     return gap is not None and gap < k
 
@@ -298,22 +287,3 @@ def similarity(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel
     if n == 0 or not has_terms(doc, node):
         return 0.0
     return score(doc, node, kernel) / n
-
-
-@dataclass(frozen=True)
-class DocQueryScore:
-    """A document's raw positional score and its [0, 1] similarity for one query."""
-
-    doc_id: str
-    raw_score: float
-    similarity: float
-
-
-def score_document(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> DocQueryScore:
-    """Score and similarity in one pass (similarity = raw / N, 0 for empty docs)."""
-    raw = score(doc, node, kernel)
-    return DocQueryScore(
-        doc_id=doc.doc_id,
-        raw_score=raw,
-        similarity=raw / doc.n if doc.n else 0.0,
-    )

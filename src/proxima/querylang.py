@@ -36,6 +36,7 @@ __all__ = [
     "QueryNode",
     "QueryParseError",
     "MAX_NESTING",
+    "check_width",
     "parse_query",
     "query_plan",
     "render_query",
@@ -114,6 +115,20 @@ class QueryParseError(ValueError):
         self.column = column
 
 
+def check_width(width: int, what: str) -> None:
+    """Raise ValueError unless ``width`` is >= 1 and converts to a float.
+
+    Widths reach the kernel formulas as floats, so one above about 1.8e308
+    could not be used.  This is the rule for the kernel width and the NEAR width.
+    """
+    if width < 1:
+        raise ValueError(f"{what} must be >= 1, got {width}")
+    try:
+        float(width)
+    except OverflowError:
+        raise ValueError(f"{what} is too large to convert to a float") from None
+
+
 # Deepest parenthesis nesting parse_query accepts; the parser recurses four
 # frames per level, so this keeps it well inside the interpreter's limit.
 MAX_NESTING = 100
@@ -159,9 +174,11 @@ def _lex(text: str) -> list[_Token]:
                 raise QueryParseError(
                     f"{word!r}: NEAR needs an integer width, e.g. NEAR/5", column
                 )
-            width = int(widths.group(1))
-            if width < 1:
-                raise QueryParseError(f"{word!r}: NEAR width must be >= 1", column)
+            try:
+                width = int(widths.group(1))
+                check_width(width, "NEAR width")
+            except ValueError as exc:
+                raise QueryParseError(f"{word!r}: {exc}", column) from None
             tokens.append(_Token("near", word, column, width=width))
         else:
             tokens.append(_Token("term", word, column))

@@ -80,11 +80,8 @@ class RbfConfig:
         if not (math.isfinite(self.threshold_scale) and self.threshold_scale >= 0.0):
             raise ValueError(f"threshold_scale must be finite and >= 0, got {self.threshold_scale}")
 
-    def with_kernel(self, kernel: InfluenceKernel) -> "RbfConfig":
-        return replace(self, kernel=kernel)
-
     def with_width(self, k: int) -> "RbfConfig":
-        return self.with_kernel(self.kernel.with_width(k))
+        return replace(self, kernel=self.kernel.with_width(k))
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,11 @@ count content terms only.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 __all__ = [
-    "TokenStream",
     "LightStemmer",
     "normalize_text",
     "tokenize",
@@ -62,6 +60,8 @@ _FOLD_TABLE: dict[int, str | None] = {
 # Word = run of letters/digits; underscore counts as punctuation.
 _TOKEN_RE = re.compile(r"[^\W_]+")
 _DIGITS_RE = re.compile(r"\d+")
+# A lone surrogate is a str character that UTF-8 cannot encode.
+_find_surrogate = re.compile("[\ud800-\udfff]").search
 
 
 def normalize_text(text: str) -> str:
@@ -143,29 +143,12 @@ def stem_to_fixpoint(word: str, stemmer: LightStemmer | None = None) -> str:
         current = nxt
 
 
-@dataclass(frozen=True)
-class TokenStream:
-    """Ordered stem sequence; the position of a stem is its index."""
-
-    stems: tuple[str, ...] = ()
-
-    def __len__(self) -> int:
-        return len(self.stems)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.stems)
-
-    def pairs(self) -> list[tuple[int, str]]:
-        """The (position, stem) view, positions running 0..len-1."""
-        return list(enumerate(self.stems))
-
-
 def preprocess(
     text: str,
     stoplist: frozenset[str] | set[str] | None = None,
     stemmer: LightStemmer | None = None,
-) -> TokenStream:
-    """Run the full pipeline on raw text.
+) -> tuple[str, ...]:
+    """Run the full pipeline on raw text; the position of a stem is its index.
 
     Stop words are filtered twice: on the normalized surface form, and again
     on the stemmed form so that no surviving stem collides with a stemmed
@@ -177,7 +160,7 @@ def preprocess(
         stemmer = default_stemmer()
     tokens = remove_stopwords(tokenize(normalize_text(text)), stoplist)
     stop_stems = {stemmer(w) for w in stoplist}
-    return TokenStream(tuple(s for s in (stemmer(t) for t in tokens) if s not in stop_stems))
+    return tuple(s for s in (stemmer(t) for t in tokens) if s not in stop_stems)
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +217,18 @@ def check_field(value: str, what: str) -> None:
     """
     if "\t" in value or value.splitlines() not in ([], [value]):
         raise ValueError(f"{what} {value!r} may not contain tabs or line breaks")
-    if re.search("[\ud800-\udfff]", value):
+    if _find_surrogate(value):
         raise ValueError(f"{what} {value!r} may not contain lone surrogates")
 
 
 def is_storable_stem(stem: str) -> bool:
-    """Whether ``stem`` is non-empty and holds no whitespace.
+    """Whether ``stem`` is non-empty and holds no whitespace and no lone surrogate.
 
-    Corpus and category files store stems space-separated and read them back
-    with ``str.split``, which returns such a stem, and only such a stem, whole.
+    Corpus and category files are UTF-8 and store stems space-separated; they
+    are read back with ``str.split``, which returns such a stem, and only such
+    a stem, whole.
     """
-    return stem.split() == [stem]
+    return stem.split() == [stem] and _find_surrogate(stem) is None
 
 
 def load_stoplist(path: str | Path) -> frozenset[str]:

@@ -17,7 +17,6 @@ from proxima.proxcore import (
     KERNEL_SHAPES,
     InfluenceKernel,
     eval_query_at,
-    influence,
     near_boolean,
     near_doc_relevance,
     similarity,
@@ -256,9 +255,9 @@ class TestCriterion6RangeAndLattice:
             width = rng.randint(1, 10)
             if near_doc_relevance(doc, "a", "b", width) != near_doc_relevance(doc, "b", "a", width):
                 violations += 1
-            if influence(kernel, k) != 0.0 or influence(kernel, -k) != 0.0:
+            if kernel.at(k) != 0.0 or kernel.at(-k) != 0.0:
                 violations += 1
-            if shape != "gaussian" and influence(kernel, 0) != 1.0:
+            if shape != "gaussian" and kernel.at(0) != 1.0:
                 violations += 1
         verdict("C6 range and lattice fuzz (10k cases)", violations == 0, f"{violations} violations")
 

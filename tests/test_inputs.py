@@ -1,4 +1,4 @@
-"""Input files and settings: the shared line readers, storable fields, finite thresholds.
+"""Input files and settings: the shared line readers, storable fields, finite thresholds, widths.
 
 The fuzz tests feed arbitrary text to every file reader, directly and through
 ``main()``: each reader returns a value or raises its module's format error,
@@ -31,7 +31,8 @@ from proxima.posindex import (
     load_corpus,
     save_corpus,
 )
-from proxima.proxcore import InfluenceKernel
+from proxima.proxcore import InfluenceKernel, near_boolean, near_doc_relevance
+from proxima.querylang import QueryParseError, parse_query
 from proxima.rbfwin import RbfConfig
 from proxima.textprep import load_stemmer_rules, load_stoplist, read_lines
 
@@ -103,7 +104,7 @@ class TestSettings:
         )
         assert resolve_config(args) == RunConfig(
             kernel="gaussian", k=3, kf=4, threshold=0.5, clamp=False, mode="rbf",
-            stoplist="s.txt", stemmer_rules="r.txt", seed=9, workers=2,
+            stoplist="s.txt", stemmer_rules="r.txt", seed=9,
         )
 
 
@@ -112,6 +113,10 @@ class TestStorableFields:
         # str allows them, but no UTF-8 file can hold one
         with pytest.raises(ValueError, match="lone surrogates"):
             CategoryModel("a\ud800", frozenset({"kora"}))
+        with pytest.raises(ValueError, match="bad descriptor"):
+            CategoryModel("x", frozenset({"a\ud800"}))
+        with pytest.raises(ValueError, match="bad equivalent"):
+            CategoryModel("x", frozenset({"kora"}), {"a\udfff": "kora"})
         corpus = Corpus()
         corpus.add(build_document("d", ["kora"]), label="\udfff")
         with pytest.raises(ValueError, match="lone surrogates"):
@@ -256,7 +261,7 @@ def test_whatever_save_categories_writes_loads_back_equal(name, workdir):
 class TestFiniteThreshold:
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_run_config_rejects_non_finite_threshold(self, value):
-        with pytest.raises(ConfigError, match="threshold must be finite"):
+        with pytest.raises(ConfigError, match="threshold_scale must be finite"):
             RunConfig(threshold=value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
@@ -272,3 +277,64 @@ class TestFiniteThreshold:
         config.write_text("threshold = inf\n", encoding="utf-8")
         code, _, err = run_main(["query", corpus, "kora", "--config", config])
         assert code == 2 and "threshold" in err
+
+
+# A width that no float can hold (about 1.8e308 is the largest).
+HUGE = "9" * 401
+
+
+class TestWidths:
+    def test_library_rejects_widths_without_a_float(self):
+        doc = build_document("d", ["kora", "suq"])
+        with pytest.raises(ValueError, match="kernel width is too large"):
+            InfluenceKernel("triangular", int(HUGE))
+        for near in (near_doc_relevance, near_boolean):
+            with pytest.raises(ValueError, match="NEAR width is too large"):
+                near(doc, "kora", "suq", int(HUGE))
+        with pytest.raises(QueryParseError, match="column 6: .*NEAR width is too large") as raised:
+            parse_query(f"kora NEAR/{HUGE} suq")
+        assert raised.value.column == 6
+
+    @pytest.mark.parametrize("mode", ["standard", "rbf"])
+    def test_huge_k_exits_2(self, mode, workdir, tmp_path):
+        corpus = workdir / "corpus.tsv"
+        categories = tmp_path / "cats.txt"
+        categories.write_text("category: sport\ndescriptors: kora\n", encoding="utf-8")
+        config = tmp_path / "huge.conf"
+        config.write_text(f"k = {HUGE}\n", encoding="utf-8")
+        for argv in (
+            ["query", corpus, "kora", "--mode", mode, "--k", HUGE],
+            ["query", corpus, "kora", "--mode", mode, "--config", config],
+            ["eval", corpus, "--categories", categories, "--mode", mode, "--k", HUGE],
+        ):
+            code, out, err = run_main(argv)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and "kernel width is too large" in err
+
+    # d1 holds both terms, d2 only one of them, and neither term is in any document
+    @pytest.mark.parametrize("query", ["kora NEAR/{} suq", "mal NEAR/{} kora", "x NEAR/{} y"])
+    def test_huge_near_width_is_a_parse_error(self, query, workdir):
+        code, out, err = run_main(["query", workdir / "corpus.tsv", query.format(HUGE)])
+        column = query.index("NEAR") + 1
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: column {column}: ") and "NEAR width is too large" in err
+
+    def test_largest_power_of_two_width_runs(self, workdir):
+        for mode in ("standard", "rbf"):
+            code, out, err = run_main(
+                ["query", workdir / "corpus.tsv", "kora", "--mode", mode, "--k", str(2**1023)]
+            )
+            assert (code, err) == (0, "")
+            assert [line.split("\t")[1] for line in out.splitlines()] == ["d1"]
+
+    @pytest.mark.parametrize(
+        "setting", ["kernel = boxcar", "k = 0", "kf = 0", "threshold = -1", "mode = fast"]
+    )
+    def test_bad_scoring_settings_exit_2(self, setting, workdir, tmp_path):
+        config = tmp_path / "bad.conf"
+        config.write_text(setting + "\n", encoding="utf-8")
+        key, _, value = setting.partition(" = ")
+        for argv in (["--config", config], [f"--{key}", value]):
+            code, out, err = run_main(["query", workdir / "corpus.tsv", "kora", *argv])
+            assert (code, out) == (2, "")
+            assert "error: " in err and "Traceback" not in err

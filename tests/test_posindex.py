@@ -14,8 +14,8 @@ from proxima.posindex import (
     load_corpus,
     positions_of,
     save_corpus,
+    write_text_atomic,
 )
-from proxima.textprep import TokenStream
 
 stems_lists = st.lists(st.sampled_from("abcde"), max_size=30)
 
@@ -36,8 +36,8 @@ class TestBuildDocument:
         assert doc.inverted == {"A": [0]}
         assert doc.n == 1
 
-    def test_accepts_token_stream(self):
-        doc = build_document("d", TokenStream(("x", "y")))
+    def test_accepts_a_tuple(self):
+        doc = build_document("d", ("x", "y"))
         assert doc.stems == ("x", "y")
 
     @given(stems_lists)
@@ -138,9 +138,11 @@ class TestPersistence:
         save_corpus(self._sample_corpus(), path)
         before = path.read_bytes()
         corpus = Corpus()
-        corpus.add(build_document("d1", ["\ud800"]))  # a lone surrogate cannot be encoded
-        with pytest.raises(UnicodeEncodeError):
+        corpus.add(build_document("d1", ["\ud800"]))
+        with pytest.raises(ValueError, match="not storable"):  # rejected before writing
             save_corpus(corpus, path)
+        with pytest.raises(UnicodeEncodeError):  # a lone surrogate cannot be encoded
+            write_text_atomic(path, "\ud800")
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["c.tsv"]
 

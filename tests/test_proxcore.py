@@ -15,13 +15,11 @@ from proxima.proxcore import (
     InfluenceKernel,
     eval_query_at,
     fold_query,
-    influence,
     local_relevance,
     near_boolean,
     near_doc_relevance,
     query_profile,
     score,
-    score_document,
     similarity,
     term_profile,
 )
@@ -32,29 +30,29 @@ TRI5 = InfluenceKernel("triangular", 5)
 
 class TestInfluenceKernel:
     def test_triangular_values(self):
-        assert influence(TRI5, 0) == 1.0
-        assert influence(TRI5, 5) == 0.0
-        assert influence(TRI5, -2) == 0.6
-        assert influence(TRI5, 2) == pytest.approx(0.6)
+        assert TRI5.at(0) == 1.0
+        assert TRI5.at(5) == 0.0
+        assert TRI5.at(-2) == 0.6
+        assert TRI5.at(2) == pytest.approx(0.6)
 
     def test_rectangular_values(self):
         rect = InfluenceKernel("rectangular", 3)
-        assert influence(rect, 0) == 1.0
-        assert influence(rect, 2) == 1.0
-        assert influence(rect, 3) == 0.0
+        assert rect.at(0) == 1.0
+        assert rect.at(2) == 1.0
+        assert rect.at(3) == 0.0
 
     def test_hanning_values(self):
         han = InfluenceKernel("hanning", 4)
-        assert influence(han, 0) == 1.0
-        assert influence(han, 4) == 0.0
-        assert influence(han, 2) == pytest.approx(0.5)
+        assert han.at(0) == 1.0
+        assert han.at(4) == 0.0
+        assert han.at(2) == pytest.approx(0.5)
 
     def test_gaussian_values(self):
         gau = InfluenceKernel("gaussian", 6)
-        assert influence(gau, 0) == 1.0
-        assert influence(gau, 6) == 0.0  # truncated to keep support bounded
+        assert gau.at(0) == 1.0
+        assert gau.at(6) == 0.0  # truncated to keep support bounded
         sigma = 6 / 3
-        assert influence(gau, 2) == pytest.approx(math.exp(-4 / (2 * sigma**2)))
+        assert gau.at(2) == pytest.approx(math.exp(-4 / (2 * sigma**2)))
 
     @pytest.mark.parametrize("shape", KERNEL_SHAPES)
     def test_peak_is_exactly_one(self, shape):
@@ -66,13 +64,13 @@ class TestInfluenceKernel:
     def test_symmetry_range_and_support(self, shape):
         kernel = InfluenceKernel(shape, 7)
         for x in range(-10, 11):
-            value = influence(kernel, x)
-            assert value == influence(kernel, -x)
+            value = kernel.at(x)
+            assert value == kernel.at(-x)
             assert 0.0 <= value <= 1.0
             if abs(x) >= 7:
                 assert value == 0.0
         # non-increasing away from the peak
-        values = [influence(kernel, x) for x in range(0, 11)]
+        values = [kernel.at(x) for x in range(0, 11)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
     def test_validation(self):
@@ -251,15 +249,6 @@ class TestScoreAndSimilarity:
         doc = build_document("d", ["A"])
         assert score(doc, Term("A"), TRI5) == 1.0
         assert similarity(doc, Term("A"), TRI5) == 1.0
-
-    def test_score_document_bundles_both(self):
-        doc = build_document("d7", ["A", "B"])
-        result = score_document(doc, Term("A"), TRI5)
-        assert result.doc_id == "d7"
-        assert result.raw_score == pytest.approx(1.8)
-        assert result.similarity == pytest.approx(result.raw_score / doc.n)
-        empty = score_document(build_document("e", []), Term("A"), TRI5)
-        assert (empty.raw_score, empty.similarity) == (0.0, 0.0)
 
     def test_two_positions(self):
         doc = build_document("d", ["A", "B"])

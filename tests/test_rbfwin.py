@@ -38,10 +38,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="threshold"):
             cfg(threshold_scale=-0.1)
 
-    def test_with_kernel(self):
-        narrowed = cfg(kf=3).with_kernel(TRI5.with_width(2))
+    def test_with_width(self):
+        narrowed = cfg(kf=3).with_width(2)
+        assert narrowed.kernel == TRI5.with_width(2)
         assert narrowed.kernel.k == 2
-        assert cfg(kf=3).with_width(2) == narrowed
         assert narrowed.kf == 3
 
 

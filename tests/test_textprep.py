@@ -118,15 +118,15 @@ class TestFixpointStemming:
 class TestPreprocess:
     def test_pipeline(self):
         stream = preprocess("في البيت الكبير", {"في"})
-        assert stream.pairs() == [(0, "بيت"), (1, "كبير")]
+        assert list(enumerate(stream)) == [(0, "بيت"), (1, "كبير")]
 
     def test_empty_inputs(self):
-        assert preprocess("").pairs() == []
-        assert preprocess("في عن من").pairs() == []  # stop words only
+        assert list(enumerate(preprocess(""))) == []
+        assert list(enumerate(preprocess("في عن من"))) == []  # stop words only
 
     def test_positions_contiguous(self):
         stream = preprocess("قرأ الطالب الكتاب الجديد في المكتبة")
-        assert [p for p, _ in stream.pairs()] == list(range(len(stream)))
+        assert [p for p, _ in enumerate(stream)] == list(range(len(stream)))
 
     def test_stopword_soundness_after_stemming(self):
         # "الهم" stems to "هم", which is itself a (stemmed) stop word
@@ -144,7 +144,7 @@ class TestPreprocess:
     @given(st.text(max_size=120))
     def test_positions_always_contiguous(self, text):
         stream = preprocess(text)
-        assert [p for p, _ in stream.pairs()] == list(range(len(stream)))
+        assert [p for p, _ in enumerate(stream)] == list(range(len(stream)))
 
 
 class TestDataFiles:
