@@ -3,9 +3,10 @@
 At each position, the relevance values of the surrounding window form a
 sample with mean mu and standard deviation sigma.  Neighbors inside the
 sigma band are the position's semantic neighborhood; each one adds its value
-weighted by a Gaussian density centered at mu.  Homogeneous high-value
-windows (occurrence clusters) therefore amplify strongly, while the ragged
-mix of values around an isolated occurrence is filtered away or adds little.
+weighted by a Gaussian density centered at mu, and ``window_boost`` sums
+those terms.  Homogeneous high-value windows (occurrence clusters) therefore
+amplify strongly, while the ragged mix of values around an isolated
+occurrence is filtered away or adds little.
 
 Run:  python demos/03_window_boost_anatomy.py
 """
@@ -14,12 +15,12 @@ from proxima import (
     InfluenceKernel,
     RbfConfig,
     build_document,
-    gaussian_rbf,
     local_relevance,
     rbf_local_relevance,
     rbf_similarity,
     semantic_neighbors,
     similarity,
+    window_boost,
     window_neighbor_relevances,
     window_stats,
 )
@@ -37,7 +38,7 @@ def dissect(x: int) -> None:
     neighbors = window_neighbor_relevances(doc, x, cfg, term="ore")
     stats = window_stats(v for _, v in neighbors)
     kept = semantic_neighbors(neighbors, stats, cfg.threshold_scale)
-    boost = sum(v * gaussian_rbf(v, stats) for _, v in kept)
+    boost = window_boost(tuple(v for _, v in neighbors), cfg.threshold_scale)
     final = rbf_local_relevance(doc, "ore", x, cfg)
     print(f"position {x} ({doc.stems[x]!r}):")
     print(f"  window values   {[round(v, 3) for _, v in neighbors]}")

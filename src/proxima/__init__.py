@@ -48,9 +48,9 @@ from .rbfwin import (
     WindowStats,
     gaussian_rbf,
     rbf_local_relevance,
-    rbf_score,
     rbf_similarity,
     semantic_neighbors,
+    window_boost,
     window_neighbor_relevances,
     window_stats,
 )

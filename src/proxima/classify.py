@@ -147,10 +147,12 @@ def substitute_equivalents(doc: PositionalDocument, model: CategoryModel) -> Pos
 
 
 def mode_similarity(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig, mode: str) -> float:
-    """``rbf_similarity`` in rbf mode, else ``similarity`` under the config's kernel."""
+    """``similarity`` (config's kernel) in standard mode, ``rbf_similarity`` in rbf mode."""
+    if mode == "standard":
+        return similarity(doc, node, cfg.kernel)
     if mode == "rbf":
         return rbf_similarity(doc, node, cfg)
-    return similarity(doc, node, cfg.kernel)
+    raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
 
 
 def classify(
@@ -160,8 +162,6 @@ def classify(
     mode: str = "standard",
 ) -> list[tuple[str, float]]:
     """Rank categories by similarity, highest first, ties by ascending name."""
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if not categories:
         raise ValueError("need at least one category")
     ranking = [(model.name, mode_similarity(doc, model.query, cfg, mode)) for model in categories]

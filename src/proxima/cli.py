@@ -39,6 +39,7 @@ from .textprep import (
     preprocess,
     read_lines,
     read_settings,
+    read_text,
 )
 
 __all__ = ["RunConfig", "ConfigError", "main"]
@@ -168,7 +169,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     corpus = Corpus()
     for path in sorted(input_dir.glob("*.txt")):
         try:
-            text = path.read_text(encoding="utf-8")
+            text = read_text(path)
         except (OSError, UnicodeDecodeError) as exc:
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
             continue
@@ -199,7 +200,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     else:
         queries = [
             line.strip()
-            for line in Path(args.query_file).read_text(encoding="utf-8").splitlines()
+            for line in read_text(args.query_file).splitlines()
             if line.strip()
         ]
     rbf = cfg.rbf_config()

@@ -14,7 +14,7 @@ from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .textprep import check_field, is_storable_stem
+from .textprep import check_field, is_storable_stem, read_text
 
 __all__ = [
     "PositionalDocument",
@@ -132,8 +132,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 def load_corpus(path: str | Path) -> Corpus:
     """Read a corpus file written by ``save_corpus``."""
-    text = Path(path).read_text(encoding="utf-8")
-    lines = text.splitlines()
+    lines = read_text(path).splitlines()
     if not lines:
         raise CorpusFormatError(f"{path}:1: empty file, expected {CORPUS_HEADER!r} header")
     if lines[0] != CORPUS_HEADER:

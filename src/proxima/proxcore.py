@@ -278,12 +278,18 @@ def score(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> 
     return float(query_profile(doc, node, kernel).sum())
 
 
-def similarity(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> float:
-    """Length-normalized score in [0, 1]; empty documents score 0.
+def _similarity(doc: PositionalDocument, node: QueryNode, profile, settings) -> float:
+    """The positional sum of ``present_profile(doc, node, profile, settings)`` over N.
 
-    A document that fails ``has_terms`` scores exactly 0 without any profile.
+    Both modes' similarities are this body with their own leaf.  Empty
+    documents and those that fail ``has_terms`` score exactly 0, unprofiled.
     """
     n = doc.n
     if n == 0 or not has_terms(doc, node):
         return 0.0
-    return score(doc, node, kernel) / n
+    return float(present_profile(doc, node, profile, settings).sum()) / n
+
+
+def similarity(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> float:
+    """Length-normalized score in [0, 1], with ``term_profile`` as the leaf."""
+    return _similarity(doc, node, term_profile, kernel)

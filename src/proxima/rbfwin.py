@@ -12,15 +12,16 @@ A neighbor's value is its relevance with respect to the focal term's own
 occurrences, i.e. how deep inside the term's influence zone it sits.
 
 A window's boost depends only on its tuple of neighbor values and the band
-multiplier, and those values come from the finite set of kernel values
-plus 0, so documents repeat the same few windows over and over.
-``rbf_term_profile`` therefore memoises the boost per (window, multiplier)
-in a process-wide cache of fixed size.  The memo is exact: each entry is
-computed once by the same scalar code, and the same tuple always gives the
-same float, so cached and fresh boosts are bit-identical and values on the
-band edge cannot flip.  An all-zero window's boost is exactly 0.0, so such
-windows are not looked up at all, and a document whose query fails
-``has_terms`` is not profiled.
+multiplier, and ``window_boost`` is the one function that sums it, for the
+scalar ``rbf_local_relevance`` and the array ``rbf_term_profile`` alike.
+Window values come from the finite set of kernel values plus 0, so documents
+repeat the same few windows over and over, and ``window_boost`` memoises the
+boost per (window, multiplier) in a process-wide cache of fixed size.  The
+memo is exact: each entry is computed once by the same scalar code, and the
+same tuple always gives the same float, so cached and fresh boosts are
+bit-identical and values on the band edge cannot flip.  An all-zero window's
+boost is exactly 0.0, so ``rbf_term_profile`` does not look such windows up
+at all, and a document whose query fails ``has_terms`` is not profiled.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ import numpy as np
 from .posindex import PositionalDocument
 from .proxcore import (
     InfluenceKernel,
+    _similarity,
     fold_query,
-    has_terms,
     local_relevance,
     present_profile,
     term_profile,
@@ -49,11 +50,11 @@ __all__ = [
     "window_stats",
     "gaussian_rbf",
     "semantic_neighbors",
+    "window_boost",
     "rbf_local_relevance",
     "rbf_term_profile",
     "rbf_eval_query_at",
     "rbf_query_profile",
-    "rbf_score",
     "rbf_similarity",
 ]
 
@@ -147,34 +148,25 @@ def semantic_neighbors(
     return [(i, v) for i, v in neighbors if abs(v - stats.mu) <= band]
 
 
+@lru_cache(maxsize=_WINDOW_CACHE_SIZE)
+def window_boost(values: tuple[float, ...], threshold_scale: float) -> float:
+    """Sum of value * gaussian_rbf(value) over the window's semantic neighborhood, memoised."""
+    stats = window_stats(values)
+    boost = 0.0
+    for _, value in semantic_neighbors(list(enumerate(values)), stats, threshold_scale):
+        boost += value * gaussian_rbf(value, stats)
+    return boost
+
+
 def rbf_local_relevance(doc: PositionalDocument, term: str, x: int, cfg: RbfConfig) -> float:
     """Window-boosted relevance of ``term`` at position x.
 
-    base + sum over the semantic neighborhood of value * gaussian_rbf(value),
-    clamped to 1 when the config asks for it.
+    base + the ``window_boost`` of x's window, clamped to 1 if the config asks.
     """
     base = local_relevance(doc, term, x, cfg.kernel)
-    neighbors = window_neighbor_relevances(doc, x, cfg, term)
-    stats = window_stats(v for _, v in neighbors)
-    boost = 0.0
-    for _, value in semantic_neighbors(neighbors, stats, cfg.threshold_scale):
-        boost += value * gaussian_rbf(value, stats)
-    raw = base + boost
-    if cfg.clamp_output:
-        return min(raw, 1.0)
-    return raw
-
-
-@lru_cache(maxsize=_WINDOW_CACHE_SIZE)
-def _window_boost(window: tuple[float, ...], threshold_scale: float) -> float:
-    """Sum of value * gaussian_rbf(value) over the window's semantic neighborhood."""
-    stats = window_stats(window)
-    band = threshold_scale * stats.sigma
-    boost = 0.0
-    for v in window:
-        if abs(v - stats.mu) <= band:
-            boost += v * gaussian_rbf(v, stats)
-    return boost
+    window = tuple(v for _, v in window_neighbor_relevances(doc, x, cfg, term))
+    raw = base + window_boost(window, cfg.threshold_scale)
+    return min(raw, 1.0) if cfg.clamp_output else raw
 
 
 def rbf_term_profile(doc: PositionalDocument, term: str, cfg: RbfConfig) -> np.ndarray:
@@ -201,7 +193,7 @@ def rbf_term_profile(doc: PositionalDocument, term: str, cfg: RbfConfig) -> np.n
     scale = cfg.threshold_scale
     boosts = np.zeros(n, dtype=np.float64)
     boosts[live] = [
-        _window_boost(values[max(0, x - kf) : x] + values[x + 1 : x + kf + 1], scale) for x in live
+        window_boost(values[max(0, x - kf) : x] + values[x + 1 : x + kf + 1], scale) for x in live
     ]
     # elementwise float64 addition and min round exactly like the scalar forms
     raw = base + boosts
@@ -218,18 +210,10 @@ def rbf_query_profile(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) 
     return present_profile(doc, node, rbf_term_profile, cfg)
 
 
-def rbf_score(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) -> float:
-    """Positional sum of the boosted query relevance."""
-    return float(rbf_query_profile(doc, node, cfg).sum())
-
-
 def rbf_similarity(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) -> float:
-    """Length-normalized boosted score; stays in [0, 1] while clamping is on.
+    """``similarity`` with ``rbf_term_profile`` as the leaf; stays in [0, 1] while clamping is on.
 
     A document that fails ``has_terms`` scores exactly 0: every window of an
     absent term is all 0, so its boost is 0 too.
     """
-    n = doc.n
-    if n == 0 or not has_terms(doc, node):
-        return 0.0
-    return rbf_score(doc, node, cfg) / n
+    return _similarity(doc, node, rbf_term_profile, cfg)

@@ -27,6 +27,7 @@ __all__ = [
     "load_stemmer_rules",
     "default_stoplist",
     "default_stemmer",
+    "read_text",
     "read_lines",
     "read_settings",
     "check_field",
@@ -63,6 +64,9 @@ _DIGITS_RE = re.compile(r"\d+")
 # A lone surrogate is a str character that UTF-8 cannot encode.
 _find_surrogate = re.compile("[\ud800-\udfff]").search
 
+# An affix is stripped only when at least this many characters remain.
+_MIN_STEM = 2
+
 
 def normalize_text(text: str) -> str:
     """Fold Arabic letter variants and drop diacritics; idempotent."""
@@ -83,18 +87,15 @@ class LightStemmer:
     """Rule-table affix stripper.
 
     Each affix is tried once, in table order, against the current form of
-    the token; a rule fires only when it matches and at least ``min_stem``
-    characters would remain.  Prefix rules run before suffix rules.  The
-    result is deterministic but not guaranteed idempotent: stripping one
-    affix may expose another that sits earlier in the table.
+    the token; a rule fires only when it matches and at least two characters
+    would remain.  Prefix rules run before suffix rules.  The result is
+    deterministic but not guaranteed idempotent: stripping one affix may
+    expose another that sits earlier in the table.
     """
 
-    def __init__(self, prefixes: Iterable[str], suffixes: Iterable[str], min_stem: int = 2):
+    def __init__(self, prefixes: Iterable[str], suffixes: Iterable[str]):
         self.prefixes = tuple(prefixes)
         self.suffixes = tuple(suffixes)
-        if min_stem < 1:
-            raise ValueError("min_stem must be >= 1")
-        self.min_stem = min_stem
         self._cache: dict[str, str] = {}
 
     def __call__(self, token: str) -> str:
@@ -107,18 +108,15 @@ class LightStemmer:
     def _strip(self, token: str) -> str:
         stem = token
         for prefix in self.prefixes:
-            if stem.startswith(prefix) and len(stem) - len(prefix) >= self.min_stem:
+            if stem.startswith(prefix) and len(stem) - len(prefix) >= _MIN_STEM:
                 stem = stem[len(prefix):]
         for suffix in self.suffixes:
-            if stem.endswith(suffix) and len(stem) - len(suffix) >= self.min_stem:
+            if stem.endswith(suffix) and len(stem) - len(suffix) >= _MIN_STEM:
                 stem = stem[: -len(suffix)]
         return stem
 
     def __repr__(self) -> str:  # pragma: no cover
-        return (
-            f"LightStemmer({len(self.prefixes)} prefixes, "
-            f"{len(self.suffixes)} suffixes, min_stem={self.min_stem})"
-        )
+        return f"LightStemmer({len(self.prefixes)} prefixes, {len(self.suffixes)} suffixes)"
 
 
 def light_stem(token: str, stemmer: LightStemmer | None = None) -> str:
@@ -167,6 +165,11 @@ def preprocess(
 # Data files
 
 
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file without a leading byte-order mark; every input file is read here."""
+    return Path(path).read_text(encoding="utf-8-sig")
+
+
 def read_lines(path: str | Path) -> list[tuple[int, str]]:
     """The (line number, stripped line) pairs of a UTF-8 file, minus blank and '#' lines.
 
@@ -174,7 +177,7 @@ def read_lines(path: str | Path) -> list[tuple[int, str]]:
     those keep their own loops because a doc id or a query may start with '#'.
     """
     lines = []
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if line and not line.startswith("#"):
             lines.append((lineno, line))

@@ -23,6 +23,7 @@ from proxima.classify import (
     load_categories,
     load_synthetic_spec,
     metrics_from_confusion,
+    mode_similarity,
     save_categories,
     substitute_equivalents,
     uniform_synthetic_spec,
@@ -273,6 +274,17 @@ class TestClassify:
             classify(doc, [CategoryModel("x", frozenset({"a"}))], CFG, mode="super")
         with pytest.raises(ValueError, match="category"):
             classify(doc, [], CFG)
+
+    @pytest.mark.parametrize("mode", ["RBF", "", "Standard"])
+    def test_unknown_mode_raises_everywhere(self, mode):
+        model = CategoryModel("x", frozenset({"a"}))
+        corpus = make_corpus({"d": ["a", "b"], "e": ["z"]}, {"d": "x", "e": "x"})
+        calls = [lambda doc=doc: mode_similarity(doc, model.query, CFG, mode) for doc in corpus]
+        calls += [lambda doc=doc: classify(doc, [model], CFG, mode) for doc in corpus]
+        calls.append(lambda: evaluate(corpus, [model], CFG, mode))
+        for call in calls:
+            with pytest.raises(ValueError, match=f"unknown mode {mode!r}"):
+                call()
 
 
 class TestMetrics:

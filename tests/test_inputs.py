@@ -34,7 +34,7 @@ from proxima.posindex import (
 from proxima.proxcore import InfluenceKernel, near_boolean, near_doc_relevance
 from proxima.querylang import QueryParseError, parse_query
 from proxima.rbfwin import RbfConfig
-from proxima.textprep import load_stemmer_rules, load_stoplist, read_lines
+from proxima.textprep import load_stemmer_rules, load_stoplist, read_lines, read_text
 
 # A tab and every character at which str.splitlines breaks a line.
 UNSTORABLE = "\t\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
@@ -338,3 +338,78 @@ class TestWidths:
             code, out, err = run_main(["query", workdir / "corpus.tsv", "kora", *argv])
             assert (code, out) == (2, "")
             assert "error: " in err and "Traceback" not in err
+
+
+# input kind: its text, a command that reads it from f (with the shared files in
+# w and any output going to o), and a check that its first line took effect
+BOM_CASES = {
+    "query-file": (
+        "kora\nmal\n",
+        lambda f, w, o: ["query", w / "corpus.tsv", "--query-file", f],
+        lambda out, written: "# query 1: kora\n1\td1\t" in out,
+    ),
+    "manifest": (
+        "d1.txt\tsport\n",
+        lambda f, w, o: ["index", w / "docs", "--out", o, "--manifest", f],
+        lambda out, written: "d1\tsport\t" in written,
+    ),
+    "stoplist": (
+        "kora\n",
+        lambda f, w, o: ["index", w / "docs", "--out", o, "--stoplist", f],
+        lambda out, written: "kora" not in written,
+    ),
+    "stemmer-rules": (
+        "SUFFIXES\nra\n",
+        lambda f, w, o: ["index", w / "docs", "--out", o, "--stemmer-rules", f],
+        lambda out, written: " ko" in written and "kora" not in written,
+    ),
+    "categories": (
+        "category: sport\ndescriptors: kora\n",
+        lambda f, w, o: ["classify", w / "corpus.tsv", "--categories", f],
+        lambda out, written: out.startswith("d1\tsport\t"),
+    ),
+    "config": (
+        "mode = rbf\nk = 2\n",
+        lambda f, w, o: ["query", w / "corpus.tsv", "kora", "--config", f],
+        lambda out, written: out == "1\td1\t1.000000\n",
+    ),
+    "spec": (
+        "doc_length = 3\nnoise_rate = 0\ncategory: x\ndescriptors: kora\n",
+        lambda f, w, o: ["gen-synth", f, "--out-corpus", o, "--out-categories", f"{o}.cats"],
+        lambda out, written: written.count("\tkora kora kora\n") == 200,
+    ),
+    "corpus": (
+        f"{CORPUS_HEADER}\nd1\tsport\tkora suq\n",
+        lambda f, w, o: ["query", f, "kora"],
+        lambda out, written: out == "1\td1\t0.900000\n",
+    ),
+    "document": (
+        "kora suq",
+        lambda f, w, o: ["index", f.parent, "--out", o],
+        lambda out, written: "\tkora suq\n" in written,
+    ),
+}
+
+
+class TestByteOrderMark:
+    def test_read_text_drops_a_leading_mark_only(self, tmp_path):
+        path = tmp_path / "bom.txt"
+        path.write_text("\ufeffa\ufeffb\n", encoding="utf-8")
+        assert read_text(path) == "a\ufeffb\n"
+        assert read_lines(path) == [(1, "a\ufeffb")]
+
+    @pytest.mark.parametrize("kind", sorted(BOM_CASES))
+    def test_marked_and_unmarked_files_give_the_same_result(self, kind, workdir, tmp_path):
+        text, argv, took_effect = BOM_CASES[kind]
+        inputs = tmp_path / "in"
+        inputs.mkdir()
+        path, written = inputs / f"{kind}.txt", tmp_path / "out.tsv"
+        results = []
+        for mark in ("", "\ufeff"):
+            path.write_text(mark + text, encoding="utf-8")
+            written.unlink(missing_ok=True)
+            code, out, err = run_main(argv(path, workdir, written))
+            assert (code, err) == (0, ""), (mark, err)
+            results.append((out, written.read_text(encoding="utf-8") if written.exists() else ""))
+        assert results[0] == results[1]
+        assert took_effect(*results[1])

@@ -116,8 +116,8 @@ def test_window_skipping_on_long_documents_with_rare_terms(monkeypatch, shape, c
         seq[position] = "rare"
     doc = build_document("d", seq)
     looked_up = []
-    boost = rbfwin._window_boost
-    monkeypatch.setattr(rbfwin, "_window_boost", lambda *a: looked_up.append(a) or boost(*a))
+    boost = rbfwin.window_boost
+    monkeypatch.setattr(rbfwin, "window_boost", lambda *a: looked_up.append(a) or boost(*a))
     for kf in (1, 5, 17):
         for threshold in (0.0, 1.0, 2.0):
             cfg = RbfConfig(InfluenceKernel(shape, 4), kf, threshold, clamp)

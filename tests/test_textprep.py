@@ -181,7 +181,3 @@ class TestDataFiles:
         path.write_text(f"PREFIXES\nال\nSUFFIXES\n{affix}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"rules.txt:4: affix {affix!r} normalizes to nothing"):
             load_stemmer_rules(path)
-
-    def test_min_stem_validation(self):
-        with pytest.raises(ValueError):
-            LightStemmer([], [], min_stem=0)
