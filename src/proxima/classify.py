@@ -16,10 +16,10 @@ and shared noise terms that match no category at all.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .posindex import Corpus, PositionalDocument, build_document, write_text_atomic
 from .proxcore import similarity
@@ -46,6 +46,7 @@ __all__ = [
     "substitute_equivalents",
     "mode_similarity",
     "classify",
+    "rank_by_score",
     "evaluate",
     "metrics_from_confusion",
     "load_categories",
@@ -164,9 +165,13 @@ def classify(
     """Rank categories by similarity, highest first, ties by ascending name."""
     if not categories:
         raise ValueError("need at least one category")
-    ranking = [(model.name, mode_similarity(doc, model.query, cfg, mode)) for model in categories]
-    ranking.sort(key=lambda pair: (-pair[1], pair[0]))
-    return ranking
+    ranking = ((model.name, mode_similarity(doc, model.query, cfg, mode)) for model in categories)
+    return rank_by_score(ranking)
+
+
+def rank_by_score(pairs: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
+    """Sort ``(name, score)`` pairs by descending score, ties by ascending name."""
+    return sorted(pairs, key=lambda pair: (-pair[1], pair[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -528,10 +533,6 @@ def generate_synthetic_corpus(
     return corpus, models
 
 
-# Each spec parameter is read with the type of its default.
-_SPEC_CONVERTERS = {f.name: type(f.default) for f in fields(SyntheticSpec) if f.name != "categories"}
-
-
 def load_synthetic_spec(path: str | Path, stemmer: LightStemmer | None = None) -> SyntheticSpec:
     """Read a generator spec file: `key = value` parameters, then category blocks."""
     lines = read_lines(path)
@@ -539,11 +540,10 @@ def load_synthetic_spec(path: str | Path, stemmer: LightStemmer | None = None) -
         (i for i, (_, line) in enumerate(lines) if ":" in line.partition("=")[0]), len(lines)
     )
     try:
-        params = read_settings(lines[:body], _SPEC_CONVERTERS, path)
+        params = read_settings(lines[:body], SyntheticSpec, path)
         categories = _parse_category_blocks(lines[body:], path, stemmer)
-    except ValueError as exc:
-        raise SynthSpecError(str(exc)) from exc
-    try:
         return SyntheticSpec(categories=tuple(categories), **params)  # type: ignore[arg-type]
-    except SynthSpecError as exc:
+    except SynthSpecError as exc:  # a parameter rejected by the spec: name the file
         raise SynthSpecError(f"{path}: {exc}") from exc
+    except ValueError as exc:  # the readers name path:lineno themselves
+        raise SynthSpecError(str(exc)) from exc

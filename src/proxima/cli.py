@@ -24,6 +24,7 @@ from .classify import (
     load_categories,
     load_synthetic_spec,
     mode_similarity,
+    rank_by_score,
     save_categories,
 )
 from .posindex import Corpus, build_document, load_corpus, save_corpus
@@ -88,59 +89,39 @@ class RunConfig:
         return load_stoplist(self.stoplist) if self.stoplist else default_stoplist()
 
 
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-_CONFIG_CONVERTERS = {
-    "kernel": str,
-    "k": int,
-    "kf": int,
-    "threshold": float,
-    "clamp": _parse_bool,
-    "mode": str,
-    "stoplist": str,
-    "stemmer_rules": str,
-    "seed": int,
-    "workers": int,
-    "preset": str,
-}
+def _with_preset(cfg: RunConfig, preset: str) -> RunConfig:
+    if preset not in PRESET_WIDTHS:
+        raise ConfigError(f"unknown preset {preset!r}, expected one of {tuple(PRESET_WIDTHS)}")
+    return replace(cfg, k=PRESET_WIDTHS[preset])
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
     """Layer defaults, config file, preset and explicit flags into a RunConfig."""
     cfg = RunConfig()
-    preset = None
-    if getattr(args, "config", None):
-        lines = read_lines(args.config)
+    if path := getattr(args, "config", None):
         try:
-            entries = read_settings(lines, _CONFIG_CONVERTERS, args.config)
-        except ValueError as exc:
+            entries = read_settings(
+                read_lines(path), RunConfig, path, extra={"workers": int, "preset": str}
+            )
+            preset = entries.pop("preset", None)
+            entries.pop("workers", None)  # accepted for compatibility; has no effect
+            cfg = RunConfig(**entries)  # type: ignore[arg-type]
+            if preset is not None:
+                cfg = _with_preset(cfg, preset)  # type: ignore[arg-type]
+        except ConfigError as exc:  # a value the file layer rejects: name the file
+            raise ConfigError(f"{path}: {exc}") from exc
+        except ValueError as exc:  # read_settings names path:lineno itself
             raise ConfigError(str(exc)) from exc
-        preset = entries.pop("preset", None)
-        entries.pop("workers", None)  # accepted for compatibility; has no effect
-        cfg = replace(cfg, **entries)  # type: ignore[arg-type]
     if getattr(args, "preset", None):
-        preset = args.preset
-    if preset is not None:
-        if preset not in PRESET_WIDTHS:
-            raise ConfigError(f"unknown preset {preset!r}, expected one of {tuple(PRESET_WIDTHS)}")
-        cfg = replace(cfg, k=PRESET_WIDTHS[preset])
+        cfg = _with_preset(cfg, args.preset)
     overrides = {
         f.name: getattr(args, f.name)
         for f in fields(RunConfig)
         if getattr(args, f.name, None) is not None
     }
-    if overrides:
-        cfg = replace(cfg, **overrides)
     if getattr(args, "no_clamp", False):
-        cfg = replace(cfg, clamp=False)
-    return cfg
+        overrides["clamp"] = False
+    return replace(cfg, **overrides)
 
 
 # ---------------------------------------------------------------------------
@@ -157,8 +138,7 @@ def _read_manifest(path: str) -> dict[str, str]:
     return labels
 
 
-def cmd_index(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_index(args: argparse.Namespace, cfg: RunConfig) -> int:
     input_dir = Path(args.input_dir)
     if not input_dir.is_dir():
         print(f"error: {input_dir} is not a directory", file=sys.stderr)
@@ -188,31 +168,28 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_query(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_query(args: argparse.Namespace, cfg: RunConfig) -> int:
     if (args.query is None) == (args.query_file is None):
         print("error: provide exactly one of QUERY or --query-file", file=sys.stderr)
         return 2
     corpus = load_corpus(args.corpus)
     stemmer = cfg.load_stemmer()
     if args.query is not None:
-        queries = [args.query]
+        queries = [(args.query, parse_query(args.query, stemmer))]
     else:
-        queries = [
-            line.strip()
-            for line in read_text(args.query_file).splitlines()
-            if line.strip()
-        ]
+        queries = []  # all parsed before any is scored, so a bad line prints nothing
+        for lineno, line in enumerate(read_text(args.query_file).splitlines(), start=1):
+            if text := line.strip():
+                try:
+                    queries.append((text, parse_query(text, stemmer)))
+                except ValueError as exc:
+                    raise ValueError(f"{args.query_file}:{lineno}: {exc}") from exc
     rbf = cfg.rbf_config()
-    for number, text in enumerate(queries, start=1):
-        node = parse_query(text, stemmer)
-        ranked = sorted(
-            (
-                (doc.doc_id, value)
-                for doc in corpus
-                if (value := mode_similarity(doc, node, rbf, cfg.mode)) > 0.0
-            ),
-            key=lambda pair: (-pair[1], pair[0]),
+    for number, (text, node) in enumerate(queries, start=1):
+        ranked = rank_by_score(
+            (doc.doc_id, value)
+            for doc in corpus
+            if (value := mode_similarity(doc, node, rbf, cfg.mode)) > 0.0
         )
         if len(queries) > 1:
             print(f"# query {number}: {text}")
@@ -221,8 +198,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     corpus = load_corpus(args.corpus)
     categories = load_categories(args.categories, cfg.load_stemmer())
     rbf = cfg.rbf_config()
@@ -233,8 +209,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_eval(args: argparse.Namespace, cfg: RunConfig) -> int:
     corpus = load_corpus(args.corpus)
     categories = load_categories(args.categories, cfg.load_stemmer())
     report = evaluate(corpus, categories, cfg.rbf_config(), cfg.mode)
@@ -244,8 +219,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_gen_synth(args: argparse.Namespace) -> int:
-    cfg = resolve_config(args)
+def cmd_gen_synth(args: argparse.Namespace, cfg: RunConfig) -> int:
     spec = load_synthetic_spec(args.spec, cfg.load_stemmer())
     corpus, models = generate_synthetic_corpus(spec, cfg.seed)
     save_corpus(corpus, args.out_corpus)
@@ -322,7 +296,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on usage errors
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        return args.func(args, resolve_config(args))
     except ValueError as exc:  # ConfigError and every format error are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2

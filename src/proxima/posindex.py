@@ -116,18 +116,23 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
     The text goes to a temp file beside ``path`` that ``os.replace`` then
     moves over it, so a failed or interrupted write leaves the old file as it
-    was; on failure the temp file is removed.
+    was; on failure the temp file is removed, and an OSError names ``path``.
     """
     path = Path(path)
     temp = path.with_name(f".{path.name}.{os.urandom(6).hex()}.tmp")
-    handle = open(temp, "x", encoding="utf-8")
     try:
-        with handle:
-            handle.write(text)
-        os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
-        raise
+        handle = open(temp, "x", encoding="utf-8")
+        try:
+            with handle:
+                handle.write(text)
+            os.replace(temp, path)
+        except BaseException:
+            temp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        if exc.errno is None:  # raised with a message only, which names no file
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def load_corpus(path: str | Path) -> Corpus:

@@ -11,6 +11,7 @@ count content terms only.
 from __future__ import annotations
 
 import re
+from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable
@@ -184,17 +185,36 @@ def read_lines(path: str | Path) -> list[tuple[int, str]]:
     return lines
 
 
+def _parse_bool(raw: str) -> bool:
+    lowered = raw.lower()
+    if lowered in ("true", "yes", "1", "on"):
+        return True
+    if lowered in ("false", "no", "0", "off"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
 def read_settings(
     lines: Iterable[tuple[int, str]],
-    converters: dict[str, Callable[[str], object]],
+    target: type,
     path: str | Path,
+    extra: dict[str, Callable[[str], object]] | None = None,
 ) -> dict[str, object]:
-    """Parse ``key = value`` lines from ``read_lines``, converting each value by its key.
+    """Parse ``key = value`` lines from ``read_lines`` into fields of the dataclass ``target``.
 
-    Keys are lower-cased and read '-' as '_'; a later line overrides an earlier
-    one.  Raises ValueError, naming ``path:lineno``, for a line without '=', a
-    key missing from ``converters``, or a value its converter rejects.
+    Each field with a default is a key, read as its default's type: a bool as
+    true/yes/1/on or false/no/0/off, a None default as text.  ``extra`` adds
+    keys that ``target`` lacks, each with its converter.  Keys are lower-cased
+    and read '-' as '_'; a later line overrides an earlier one.  Raises
+    ValueError, naming ``path:lineno``, for a line without '=', an unknown key,
+    or a value its converter rejects.
     """
+    converters: dict[str, Callable[[str], object]] = {
+        f.name: {bool: _parse_bool, type(None): str}.get(type(f.default), type(f.default))
+        for f in fields(target)
+        if f.default is not MISSING
+    }
+    converters.update(extra or {})
     settings: dict[str, object] = {}
     for lineno, line in lines:
         key, eq, value = line.partition("=")

@@ -76,6 +76,15 @@ class TestIndex:
         code, _, err = run(capsys, "index", str(tmp_path / "nope"), "--out", str(tmp_path / "c.tsv"))
         assert code == 1
 
+    def test_failed_save_names_the_output_not_a_temp_file(self, capsys, tiny_corpus):
+        docs, _ = tiny_corpus
+        before = sorted(p.name for p in docs.iterdir())
+        code, out, err = run(capsys, "index", str(docs), "--out", str(docs))
+        assert (code, out) == (1, "")
+        assert err.startswith("error: [Errno ") and err.endswith(f": {str(docs)!r}\n")
+        assert sorted(p.name for p in docs.iterdir()) == before
+        assert [p.name for p in docs.parent.iterdir() if p.name.startswith(".")] == []
+
 
 class TestQuery:
     def _indexed(self, capsys, tiny_corpus):
@@ -136,6 +145,16 @@ class TestQuery:
         assert "# query 1:" in out
         assert "# query 2:" in out
 
+    def test_bad_line_in_query_file_prints_nothing_and_names_the_line(
+        self, capsys, tiny_corpus, tmp_path
+    ):
+        corpus = self._indexed(capsys, tiny_corpus)
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text("الكتاب\nقمر AND\nكتب\n", encoding="utf-8")
+        code, out, err = run(capsys, "query", str(corpus), "--query-file", str(qfile))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {qfile}:2: column ")
+
     def test_query_and_file_are_exclusive(self, capsys, tiny_corpus):
         corpus = self._indexed(capsys, tiny_corpus)
         code, _, err = run(capsys, "query", str(corpus))
@@ -189,6 +208,18 @@ class TestGenSynth:
         run(capsys, "gen-synth", str(spec), "--out-corpus", str(corpus), "--out-categories", str(cats))
         text = cats.read_text(encoding="utf-8")
         assert text.count("category: ") == 3
+
+    def test_save_into_a_missing_directory_names_the_output(self, capsys, synth_setup, tmp_path):
+        spec, _, cats = synth_setup
+        out_corpus = tmp_path / "missing" / "o.tsv"
+        code, out, err = run(
+            capsys, "gen-synth", str(spec), "--out-corpus", str(out_corpus),
+            "--out-categories", str(cats),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: [Errno 2] No such file or directory: {str(out_corpus)!r}\n"
+        assert not (tmp_path / "missing").exists()
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".")] == []
 
     def test_invalid_spec_exits_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.txt"

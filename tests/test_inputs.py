@@ -8,6 +8,7 @@ and the command line exits 0, 1 or 2 without a traceback.
 import argparse
 import io
 import math
+from dataclasses import fields
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -18,11 +19,19 @@ from proxima.classify import (
     CategoryFormatError,
     CategoryModel,
     SynthSpecError,
+    SyntheticSpec,
     load_categories,
     load_synthetic_spec,
     save_categories,
 )
-from proxima.cli import ConfigError, RunConfig, _read_manifest, main, resolve_config
+from proxima.cli import (
+    ConfigError,
+    RunConfig,
+    _read_manifest,
+    build_parser,
+    main,
+    resolve_config,
+)
 from proxima.posindex import (
     CORPUS_HEADER,
     Corpus,
@@ -106,6 +115,81 @@ class TestSettings:
             kernel="gaussian", k=3, kf=4, threshold=0.5, clamp=False, mode="rbf",
             stoplist="s.txt", stemmer_rules="r.txt", seed=9,
         )
+
+
+# each RunConfig field, plus the two keys that are not fields: config file
+# line, and the flags that set the same
+KEY_AND_FLAG = {
+    "kernel": ("kernel = gaussian", ["--kernel", "gaussian"]),
+    "k": ("k = 9", ["--k", "9"]),
+    "kf": ("kf = 3", ["--kf", "3"]),
+    "threshold": ("threshold = 0.5", ["--threshold", "0.5"]),
+    "clamp": ("clamp = off", ["--no-clamp"]),
+    "mode": ("mode = rbf", ["--mode", "rbf"]),
+    "stoplist": ("stoplist = stop.txt", ["--stoplist", "stop.txt"]),
+    "stemmer_rules": ("stemmer-rules = rules.txt", ["--stemmer-rules", "rules.txt"]),
+    "seed": ("seed = 7", ["--seed", "7"]),
+    "workers": ("workers = 2", ["--workers", "2"]),
+    "preset": ("preset = paragraph", ["--preset", "paragraph"]),
+}
+
+# each SyntheticSpec parameter: its spec line and the value read
+SPEC_KEYS = {
+    "docs_per_category": ("docs_per_category = 7", 7),
+    "doc_length": ("doc_length = 9", 9),
+    "injection_rate": ("injection_rate = 0.5", 0.5),
+    "noise_rate": ("noise_rate = 0.25", 0.25),
+    "cross_rate": ("cross_rate = 0.125", 0.125),
+    "noise_vocab_size": ("noise_vocab_size = 3", 3),
+}
+
+
+class TestOneSettingsRule:
+    def test_the_cases_cover_every_key(self):
+        assert set(KEY_AND_FLAG) == {f.name for f in fields(RunConfig)} | {"workers", "preset"}
+        assert set(SPEC_KEYS) == {f.name for f in fields(SyntheticSpec)} - {"categories"}
+
+    @pytest.mark.parametrize("key", KEY_AND_FLAG)
+    def test_config_key_equals_its_flag(self, key, tmp_path):
+        line, flags = KEY_AND_FLAG[key]
+        config = tmp_path / "run.conf"
+        config.write_text(line + "\n", encoding="utf-8")
+        parse = build_parser().parse_args
+        from_file = resolve_config(parse(["query", "c.tsv", "q", "--config", str(config)]))
+        from_flags = resolve_config(parse(["query", "c.tsv", "q", *flags]))
+        assert from_file == from_flags
+        assert (from_file == RunConfig()) == (key == "workers")  # workers has no effect
+
+    @pytest.mark.parametrize("key", SPEC_KEYS)
+    def test_spec_key_sets_its_parameter(self, key, tmp_path):
+        line, value = SPEC_KEYS[key]
+        path = tmp_path / "spec.txt"
+        path.write_text(f"{line}\ncategory: x\ndescriptors: kora\n", encoding="utf-8")
+        spec = load_synthetic_spec(path)
+        assert spec == SyntheticSpec(categories=spec.categories, **{key: value})
+        assert type(getattr(spec, key)) is type(value)
+
+    @pytest.mark.parametrize(
+        "line, flags",
+        [
+            ("mode = RBF", ["--mode", "rbf"]),
+            ("kernel = Gaussian", ["--kernel", "gaussian"]),
+            ("k = 0", ["--k", "3"]),
+            ("preset = chapter", ["--preset", "phrase"]),
+        ],
+        ids=["mode", "kernel", "k", "preset"],
+    )
+    def test_bad_config_value_names_the_file(self, line, flags, workdir, tmp_path):
+        config = tmp_path / "bad.conf"
+        config.write_text(line + "\n", encoding="utf-8")
+        # each layer is checked on its own, so a flag that overrides the value
+        # does not make the file valid
+        for extra in ([], flags):
+            code, out, err = run_main(
+                ["query", workdir / "corpus.tsv", "kora", "--config", config, *extra]
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: {config}: ")
 
 
 class TestStorableFields:
