@@ -150,7 +150,7 @@ def cmd_index(args: argparse.Namespace, cfg: RunConfig) -> int:
     for path in sorted(input_dir.glob("*.txt")):
         try:
             text = read_text(path)
-        except (OSError, UnicodeDecodeError) as exc:
+        except (OSError, ValueError) as exc:  # unreadable, or not UTF-8
             print(f"warning: skipping {path}: {exc}", file=sys.stderr)
             continue
         label = manifest.get(path.name, manifest.get(path.stem))

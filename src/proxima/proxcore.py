@@ -79,25 +79,6 @@ class InfluenceKernel:
         sigma = k / 3.0
         return math.exp(-(d * d) / (2.0 * sigma * sigma))
 
-    def profile(self, offsets) -> np.ndarray:
-        """Kernel values at integer offsets of either sign, as one float64 array.
-
-        Every value is gathered from a table of ``at(d)``, so it is
-        bit-identical to ``at`` by construction.  The table stops at k (where
-        every shape is 0) or at the largest distance, whichever comes first,
-        so time and memory stay linear in the input for any k.  Offsets that
-        are not integers raise TypeError.
-        """
-        offsets = np.asarray(offsets)
-        if offsets.size == 0:
-            return np.zeros(offsets.shape, dtype=np.float64)
-        if offsets.dtype.kind not in "iu":
-            raise TypeError(f"kernel profile takes integer offsets, got dtype {offsets.dtype}")
-        distances = np.abs(offsets.astype(np.int64, copy=False))
-        length = min(self.k, int(distances.max())) + 1
-        table = _kernel_table(self.shape, self.k, length)
-        return table[np.minimum(distances, length - 1)]
-
 
 # kernel instances are rebuilt per document and per NEAR, so tables are keyed
 # on the kernel's parameters rather than on the instance
@@ -135,19 +116,42 @@ def local_relevance(doc: PositionalDocument, term: str, x: int, kernel: Influenc
     return 0.0 if distance is None else kernel.at(distance)
 
 
-def term_profile(doc: PositionalDocument, term: str, kernel: InfluenceKernel) -> np.ndarray:
-    """local_relevance of ``term`` at every in-document position, as one array."""
+def _distance_digits(
+    doc: PositionalDocument, term: str, kernel: InfluenceKernel
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """Each position's distance to the nearest occurrence of ``term``, clipped to top = min(k, n).
+
+    Returns those digits and the kernel's table at 0..top, so that
+    ``table[digits]`` is the term's local relevance at every position; None
+    when the term does not occur.  Clipping is exact: every shape is 0 at k
+    and beyond, and no distance inside the document reaches n.  ``top`` is
+    taken in Python, so any k works.
+    """
     n = doc.n
     occurrences = positions_of(doc, term)
     if n == 0 or not occurrences:
-        return np.zeros(n, dtype=np.float64)
-    occ = np.asarray(occurrences, dtype=np.int64)
+        return None
+    top = min(kernel.k, n)
+    # a bound at -n and one at 2n lie at least n from every position, so every
+    # position has an occurrence or a bound on each side
+    bounds = np.array([-n, *occurrences, 2 * n], dtype=np.int64)
     xs = np.arange(n, dtype=np.int64)
-    right = np.searchsorted(occ, xs)
-    left = np.maximum(right - 1, 0)
-    right = np.minimum(right, len(occ) - 1)
-    distance = np.minimum(np.abs(xs - occ[left]), np.abs(xs - occ[right]))
-    return kernel.profile(distance)
+    after = np.searchsorted(bounds, xs)
+    distance = np.minimum(xs - bounds[after - 1], bounds[after] - xs)
+    return np.minimum(distance, top, out=distance), _kernel_table(kernel.shape, kernel.k, top + 1)
+
+
+def term_profile(doc: PositionalDocument, term: str, kernel: InfluenceKernel) -> np.ndarray:
+    """local_relevance of ``term`` at every in-document position, as one array.
+
+    Each value is gathered from the table of ``kernel.at``, so it is
+    bit-identical to ``local_relevance`` by construction.
+    """
+    found = _distance_digits(doc, term, kernel)
+    if found is None:
+        return np.zeros(doc.n, dtype=np.float64)
+    digits, table = found
+    return table[digits]
 
 
 def _min_gap(doc: PositionalDocument, term_a: str, term_b: str) -> int | None:

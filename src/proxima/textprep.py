@@ -10,6 +10,7 @@ count content terms only.
 
 from __future__ import annotations
 
+import codecs
 import re
 from dataclasses import MISSING, fields
 from importlib import resources
@@ -167,8 +168,30 @@ def preprocess(
 
 
 def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file without a leading byte-order mark; every input file is read here."""
-    return Path(path).read_text(encoding="utf-8-sig")
+    """The text of a UTF-8 file without a leading byte-order mark; every input file is read here.
+
+    A byte that is not UTF-8 raises ValueError naming ``path:lineno``.
+    """
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        lineno = _undecodable_line(path)
+        raise ValueError(f"{path}:{lineno}: not UTF-8: byte 0x{byte:02x} ({exc.reason})") from None
+
+
+def _undecodable_line(path: str | Path) -> int:
+    """The line number of the first byte of ``path`` that is not UTF-8.
+
+    A decode error's offset counts from the chunk being decoded, so the
+    whole file is decoded again here, after the same byte-order mark rule.
+    """
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        return data.count(b"\n", 0, exc.start) + 1
+    return 1  # the file changed since it was read
 
 
 def read_lines(path: str | Path) -> list[tuple[int, str]]:

@@ -4,6 +4,11 @@ A fixed `gen-synth` corpus is scored in both modes under four settings, and
 every output must hash to the digest recorded here.  A change that is meant
 to leave every score bit-identical must pass this unchanged; a change that
 means to alter output updates the digests and says why.
+
+The CLI prints scores to 6 decimals, so a last-bit change would not show in
+its stdout.  The float-level digests pin ``float.hex`` of the library's rbf
+``classify`` scores and of every ``rbf_term_profile`` value on the same
+corpus under the same four settings.
 """
 
 import contextlib
@@ -12,7 +17,11 @@ import io
 
 import pytest
 
-from proxima.cli import main
+from proxima.classify import classify, load_categories
+from proxima.cli import build_parser, main, resolve_config
+from proxima.posindex import load_corpus
+from proxima.querylang import parse_query, query_plan
+from proxima.rbfwin import rbf_term_profile
 
 SPEC = (
     "docs_per_category = 15\n"
@@ -88,13 +97,19 @@ def _stdout(argv) -> str:
     return out.getvalue()
 
 
-def golden_outputs(root) -> dict[tuple[str, str, str], str]:
-    """Every pinned stdout, keyed by (setting, mode, command), made under directory ``root``."""
+def golden_files(root):
+    """Write the spec and query file under ``root`` and generate the corpus and categories."""
     spec, corpus, cats, queries = (root / name for name in ("spec.txt", "c.tsv", "k.txt", "q.txt"))
     spec.write_text(SPEC, encoding="utf-8")
     queries.write_text(QUERIES, encoding="utf-8")
     _stdout(["gen-synth", str(spec), "--out-corpus", str(corpus),
              "--out-categories", str(cats), "--seed", "11"])
+    return corpus, cats, queries
+
+
+def golden_outputs(root) -> dict[tuple[str, str, str], str]:
+    """Every pinned stdout, keyed by (setting, mode, command), made under directory ``root``."""
+    corpus, cats, queries = golden_files(root)
     args = {
         "query": (str(corpus), "--query-file", str(queries)),
         "classify": (str(corpus), "--categories", str(cats)),
@@ -120,3 +135,59 @@ def test_output_matches_golden_digest(outputs, key):
 
 def test_every_output_is_pinned(outputs):
     assert sorted(outputs) == sorted(DIGESTS)
+
+
+# recorded before the coded window memo replaced the per-tuple one
+FLOAT_DIGESTS = {
+    ("default", "classify"): "2a6b44fd16f29a8484938680208430d8e09b4b6bbbf74563dab0a68d8a11456e",
+    ("default", "profile"): "5aa51e589b141bf3ea06bb7faa102afc1aa831cc8b5ac7924019d8ad386809ac",
+    ("gaussian-k7-kf3", "classify"): "00f4d8de16c634a87841d0c256d49de7f2e6169d3ecf85937cade814688db053",
+    ("gaussian-k7-kf3", "profile"): "46299192a1f694e62c3cf0380aac4c3d571922e7eea049d64511bf3c36a8ba82",
+    ("hanning-k3-kf2-t0.5-noclamp", "classify"): "4be8522c93d9dce8597756ac0446cb42c85e7cfd52e90d427c08eb216ab9ca14",
+    ("hanning-k3-kf2-t0.5-noclamp", "profile"): "3a6ab32db06767d285596ad1b866241bb3080600e16127be978da6bb9c45c9ea",
+    ("rectangular-k2-kf1", "classify"): "1456c2b3ef14d450f5e331fa2f13a46579b0a612f70928fbc4d207a6e406f60c",
+    ("rectangular-k2-kf1", "profile"): "b4f44213be72277e63a88825ba3abff0037d80e8b8e20e2bb56716726bfda0af",
+}
+
+
+def float_outputs(root) -> dict[tuple[str, str], str]:
+    """``float.hex`` lines of rbf scores and profiles, keyed by (setting, "classify" | "profile").
+
+    The profiles cover every leaf of every category query and of the query
+    file, NEAR sides narrowed to their width, at every document.
+    """
+    corpus_path, cats, queries = golden_files(root)
+    corpus = load_corpus(corpus_path)
+    models = load_categories(cats)
+    nodes = [model.query for model in models]
+    nodes += [parse_query(line) for line in QUERIES.splitlines()]
+    leaves = [step for node in nodes for step in query_plan(node) if isinstance(step, tuple)]
+    outputs = {}
+    for setting, flags in SETTINGS.items():
+        argv = ["classify", str(corpus_path), "--categories", str(cats), *flags]
+        cfg = resolve_config(build_parser().parse_args(argv)).rbf_config()
+        scores, profiles = [], []
+        for doc_id, doc in corpus.documents.items():
+            for name, value in classify(doc, models, cfg, "rbf"):
+                scores.append(f"{doc_id} {name} {value.hex()}")
+            for stem, width in leaves:
+                leaf_cfg = cfg if width is None else cfg.with_width(width)
+                values = " ".join(v.hex() for v in rbf_term_profile(doc, stem, leaf_cfg).tolist())
+                profiles.append(f"{doc_id} {stem} {width} {values}")
+        outputs[setting, "classify"] = "\n".join(scores)
+        outputs[setting, "profile"] = "\n".join(profiles)
+    return outputs
+
+
+@pytest.fixture(scope="module")
+def floats(tmp_path_factory):
+    return float_outputs(tmp_path_factory.mktemp("floats"))
+
+
+@pytest.mark.parametrize("key", sorted(FLOAT_DIGESTS), ids="/".join)
+def test_floats_match_golden_digest(floats, key):
+    assert hashlib.sha256(floats[key].encode("utf-8")).hexdigest() == FLOAT_DIGESTS[key]
+
+
+def test_every_float_output_is_pinned(floats):
+    assert sorted(floats) == sorted(FLOAT_DIGESTS)

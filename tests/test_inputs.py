@@ -8,6 +8,7 @@ and the command line exits 0, 1 or 2 without a traceback.
 import argparse
 import io
 import math
+import re
 from dataclasses import fields
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -473,6 +474,39 @@ BOM_CASES = {
         lambda out, written: "\tkora suq\n" in written,
     ),
 }
+
+
+class TestUndecodableInput:
+    def test_read_text_names_the_line_of_the_bad_byte(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xef\xbb\xbfa\nb\nc\xfe\n")
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:3: not UTF-8: byte 0xfe"):
+            read_text(path)
+        # past the first chunk a decoder reads, the line still counts from the file's start
+        path.write_bytes(b"abc\n" * 5000 + b"x\xff\n")
+        with pytest.raises(ValueError, match=r":5001: not UTF-8: byte 0xff \(invalid start byte\)$"):
+            read_text(path)
+
+    @pytest.mark.parametrize("kind", ["categories", "config", "corpus", "query-file"])
+    def test_bad_byte_exits_2_naming_the_line(self, kind, workdir, tmp_path):
+        text, argv, _ = BOM_CASES[kind]
+        path = tmp_path / f"{kind}.txt"
+        path.write_bytes(text.encode("utf-8") + b"#\xff\n")
+        code, out, err = run_main(argv(path, workdir, tmp_path / "out.tsv"))
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:3: not UTF-8: byte 0xff (invalid start byte)\n"
+
+    def test_index_skips_an_undecodable_document(self, tmp_path):
+        docs = tmp_path / "docs"
+        docs.mkdir()
+        (docs / "good.txt").write_text("kora suq", encoding="utf-8")
+        (docs / "bad.txt").write_bytes(b"kora\n\xffsuq")
+        out_path = tmp_path / "out.tsv"
+        code, out, err = run_main(["index", docs, "--out", out_path])
+        assert code == 0 and out.startswith("indexed 1 documents")
+        bad = docs / "bad.txt"
+        assert err == f"warning: skipping {bad}: {bad}:2: not UTF-8: byte 0xff (invalid start byte)\n"
+        assert list(load_corpus(out_path).documents) == ["good"]
 
 
 class TestByteOrderMark:

@@ -86,25 +86,22 @@ class TestInfluenceKernel:
     def test_profile_is_at_bit_for_bit(self, shape):
         for k in range(1, 121):
             kernel = InfluenceKernel(shape, k)
-            distances = list(range(3 * k + 3))
-            assert kernel.profile(distances).tolist() == [kernel.at(d) for d in distances]
-            assert kernel.profile(distances[::-1]).tolist() == [kernel.at(d) for d in distances[::-1]]
-            offsets = [-d for d in distances] + distances
-            assert kernel.profile(offsets).tolist() == [kernel.at(o) for o in offsets]
-        # the table stops at the largest distance, so a huge width costs nothing
+            # one occurrence at either end puts every distance 0..3k+2 on a position
+            stems = ["a"] + ["x"] * (3 * k + 2)
+            distances = list(range(len(stems)))
+            for doc, order in ((build_document("d", stems), distances),
+                               (build_document("d", stems[::-1]), distances[::-1])):
+                assert term_profile(doc, "a", kernel).tolist() == [kernel.at(d) for d in order]
+        # the table stops at the document's length, so a huge width costs no more than n
         huge = InfluenceKernel(shape, 10**9)
-        distances = [12345, 0, 7, 1, 12345]
-        assert huge.profile(distances).tolist() == [huge.at(d) for d in distances]
-        assert huge.profile([-12345, 12345]).tolist() == [huge.at(12345)] * 2
+        doc = build_document("d", ["a"] + ["x"] * 12344 + ["a"])
+        assert term_profile(doc, "a", huge).tolist() == [
+            local_relevance(doc, "a", x, huge) for x in range(doc.n)
+        ]
         doc = build_document("d", ["a", "b", "b", "a", "b"])
         assert term_profile(doc, "b", huge).tolist() == [
             local_relevance(doc, "b", x, huge) for x in range(doc.n)
         ]
-
-    def test_profile_rejects_non_integer_offsets(self):
-        with pytest.raises(TypeError):
-            TRI5.profile([0.0, 1.5])
-        assert TRI5.profile([]).tolist() == []
 
 
 class TestLocalRelevance:

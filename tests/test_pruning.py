@@ -121,6 +121,8 @@ def test_window_skipping_on_long_documents_with_rare_terms(monkeypatch, shape, c
     for kf in (1, 5, 17):
         for threshold in (0.0, 1.0, 2.0):
             cfg = RbfConfig(InfluenceKernel(shape, 4), kf, threshold, clamp)
+            # a warm memo would answer every window without a call
+            rbfwin._WINDOWS.clear()
             looked_up.clear()
             profile = rbf_term_profile(doc, "rare", cfg)
             assert 0 < len(looked_up) < doc.n // 2

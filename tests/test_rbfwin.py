@@ -3,9 +3,11 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 import _reference as ref
+from proxima import rbfwin
 from proxima.posindex import build_document
 from proxima.proxcore import KERNEL_SHAPES, InfluenceKernel, local_relevance, similarity
 from proxima.querylang import Term, parse_query
@@ -285,3 +287,56 @@ class TestProfilesAndQueries:
     def test_empty_document(self):
         doc = build_document("d", [])
         assert rbf_similarity(doc, Term("a"), cfg()) == 0.0
+
+
+class TestWindowCodes:
+    """The coded window memo gives exactly the scalar oracle's floats, cold, warm or cleared."""
+
+    # (k, kf): one-word codes, two-word codes (radix 52 fits 11 digits a
+    # word), kf at least n (up to 80 digits of radix 7), a 1-digit window,
+    # and a kernel wider than any document
+    WIDTHS = [(1, 1), (3, 2), (5, 5), (50, 9), (5, 40), (10**6, 7)]
+    SETTINGS = [(0.0, True), (1.0, False), (2.0, True), (0.5, False)]
+
+    @staticmethod
+    def _documents():
+        rng = random.Random(91)
+        docs = [build_document("d0", ["a"]), build_document("d1", list("ab"))]
+        for length in (9, 33, 75):
+            docs.append(build_document(f"n{length}", [rng.choice("abqqqqq") for _ in range(length)]))
+        return docs
+
+    @staticmethod
+    def _assert_exact(doc, term, config):
+        profile = rbf_term_profile(doc, term, config)
+        scalar = [rbf_local_relevance(doc, term, x, config) for x in range(doc.n)]
+        assert profile.tobytes() == np.array(scalar, dtype=np.float64).tobytes()
+
+    @pytest.mark.parametrize("memo", ["cold", "warm", "cleared"])
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_profile_bytes_equal_pointwise_scalar(self, monkeypatch, shape, memo):
+        if memo == "cleared":
+            monkeypatch.setattr(rbfwin, "_WINDOW_CACHE_SIZE", 3)
+        rbfwin._WINDOWS.clear()
+        longest = 0
+        for (k, kf), (threshold, clamp) in zip(self.WIDTHS * 2, self.SETTINGS * 3):
+            config = RbfConfig(InfluenceKernel(shape, k), kf, threshold, clamp)
+            for doc in self._documents():
+                longest = max(longest, doc.n)
+                for term in ("a", ("a", "b")):
+                    if memo == "cold":
+                        rbfwin._WINDOWS.clear()
+                    self._assert_exact(doc, term, config)
+                    if memo == "warm":
+                        self._assert_exact(doc, term, config)
+                    if memo == "cleared":
+                        # past the cap the memo holds one call's windows at most
+                        assert sum(map(len, rbfwin._WINDOWS.values())) <= max(3, longest)
+
+    def test_wide_windows_take_several_words(self):
+        rbfwin._WINDOWS.clear()
+        doc = self._documents()[-1]
+        for k, kf in ((50, 9), (5, 40)):
+            rbf_term_profile(doc, "a", RbfConfig(InfluenceKernel("gaussian", k), kf))
+        memos = rbfwin._WINDOWS.values()
+        assert {len(code) for memo in memos for code in memo} == {2, 4}
