@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .classify import (
     MODES,
-    classify,
+    classify_documents,
     evaluate,
     generate_synthetic_corpus,
     load_categories,
@@ -203,7 +203,7 @@ def cmd_classify(args: argparse.Namespace, cfg: RunConfig) -> int:
     categories = load_categories(args.categories, cfg.load_stemmer())
     rbf = cfg.rbf_config()
     docs = list(corpus)
-    tops = [classify(doc, categories, rbf, cfg.mode)[0] for doc in docs]
+    tops = [ranking[0] for ranking in classify_documents(docs, categories, rbf, cfg.mode)]
     for doc, (name, value) in zip(docs, tops):
         print(f"{doc.doc_id}\t{name}\t{value:.6f}")
     return 0

@@ -6,12 +6,21 @@ the strongest influence any of its occurrences exerts there; queries combine
 those per-position values with min (AND), max (OR) and a width-narrowed min
 (NEAR).  A document's score is the positional sum over 0..N-1, and its
 similarity is that sum divided by N, which keeps it in [0, 1].
+
+Profiles are built for a block of (document, stem) segments at a time
+(``_term_profiles``; ``term_profile`` is a block of one segment).
+``_block_similarities`` scores many documents against many queries with
+the documents laid end to end, as a classification pass does; its leaves
+are profiled in batches of a bounded number of values, so its memory does
+not grow with the number of leaves.  ``similarity`` scores one pair with
+the same floats, profiling each leaf as the fold reads it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from itertools import accumulate
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +46,15 @@ __all__ = [
 ]
 
 KERNEL_SHAPES = ("triangular", "rectangular", "gaussian", "hanning")
+
+# a block of (document, stem) pairs to profile, laid end to end; each stem occurs in its document
+_Segments = list[tuple[PositionalDocument, "str | tuple[str, ...]"]]
+
+# A block's leaves are profiled in batches of at most this many values of
+# rows over the block's documents (and at least one leaf).  A batch's
+# arrays take a few times that many 8-byte values; the classification
+# workloads' blocks profile all their leaves in one batch.
+_BATCH_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -116,42 +134,66 @@ def local_relevance(doc: PositionalDocument, term: str, x: int, kernel: Influenc
     return 0.0 if distance is None else kernel.at(distance)
 
 
-def _distance_digits(
-    doc: PositionalDocument, term: str, kernel: InfluenceKernel
-) -> tuple[np.ndarray, np.ndarray] | None:
-    """Each position's distance to the nearest occurrence of ``term``, clipped to top = min(k, n).
+def _segment_digits(
+    segments: _Segments, kernel: InfluenceKernel
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Each segment's distances to its stem's nearest occurrence, clipped to top = min(k, longest).
 
-    Returns those digits and the kernel's table at 0..top, so that
-    ``table[digits]`` is the term's local relevance at every position; None
-    when the term does not occur.  Clipping is exact: every shape is 0 at k
-    and beyond, and no distance inside the document reaches n.  ``top`` is
-    taken in Python, so any k works.
+    A segment is a (document, stem) pair whose stem occurs in the document;
+    the result covers the segments laid end to end.  Returns those digits,
+    the kernel's table at 0..top, so that ``table[digits]`` is each
+    segment's local relevance, and the segments' lengths.  One
+    ``searchsorted`` serves every segment: on its number line, each segment
+    lies ``longest`` positions past the one before, and a bound lies that
+    far beyond each end, so every position's nearest occurrence is one of
+    its own segment's, at most n - 1 away.  Clipping is exact: every shape
+    is 0 at k and beyond, and no distance inside a segment reaches its n.
+    ``top`` is taken in Python, so any k works.
     """
-    n = doc.n
-    occurrences = positions_of(doc, term)
-    if n == 0 or not occurrences:
-        return None
-    top = min(kernel.k, n)
-    # a bound at -n and one at 2n lie at least n from every position, so every
-    # position has an occurrence or a bound on each side
-    bounds = np.array([-n, *occurrences, 2 * n], dtype=np.int64)
-    xs = np.arange(n, dtype=np.int64)
-    after = np.searchsorted(bounds, xs)
-    distance = np.minimum(xs - bounds[after - 1], bounds[after] - xs)
-    return np.minimum(distance, top, out=distance), _kernel_table(kernel.shape, kernel.k, top + 1)
+    lengths = [doc.n for doc, _ in segments]
+    occurrences = [positions_of(doc, stem) for doc, stem in segments]
+    longest, total, count = max(lengths), sum(lengths), len(segments)
+    bounds = [-longest]
+    for found in occurrences:
+        bounds += found
+    bounds.append(total + count * longest)
+    bounds = np.array(bounds, dtype=np.int64)
+    xs = np.arange(total, dtype=np.int64)
+    if count > 1:
+        # segment s moves s * longest along the line, past the gaps before it
+        xs += np.arange(0, count * longest, longest).repeat(lengths)
+        # and its occurrences move with its first position
+        firsts = xs[list(accumulate(lengths[:-1], initial=0))]
+        bounds[1:-1] += firsts.repeat(list(map(len, occurrences)))
+    # each position's distance to the bounds on either side, worked out in
+    # place, since a block's arrays are its largest
+    after = bounds.searchsorted(xs)
+    distance = bounds[after - 1]
+    np.subtract(xs, distance, out=distance)
+    after = bounds[after]
+    np.subtract(after, xs, out=after)
+    np.minimum(distance, after, out=distance)
+    top = min(kernel.k, longest)
+    np.minimum(distance, top, out=distance)
+    return distance, _kernel_table(kernel.shape, kernel.k, top + 1), lengths
+
+
+def _term_profiles(segments: _Segments, kernel: InfluenceKernel) -> np.ndarray:
+    """``term_profile`` of each (document, stem) segment, laid end to end in one array.
+
+    Every stem must occur in its document.  Each value is gathered from the
+    table of ``kernel.at``, so it is bit-identical to ``local_relevance`` by
+    construction.
+    """
+    digits, table, _ = _segment_digits(segments, kernel)
+    return table[digits]
 
 
 def term_profile(doc: PositionalDocument, term: str, kernel: InfluenceKernel) -> np.ndarray:
-    """local_relevance of ``term`` at every in-document position, as one array.
-
-    Each value is gathered from the table of ``kernel.at``, so it is
-    bit-identical to ``local_relevance`` by construction.
-    """
-    found = _distance_digits(doc, term, kernel)
-    if found is None:
+    """local_relevance of ``term`` at every in-document position, as one array."""
+    if not _occurs(doc, term):
         return np.zeros(doc.n, dtype=np.float64)
-    digits, table = found
-    return table[digits]
+    return _term_profiles([(doc, term)], kernel)
 
 
 def _min_gap(doc: PositionalDocument, term_a: str, term_b: str) -> int | None:
@@ -222,7 +264,7 @@ def fold_query(node: QueryNode, leaf, settings):
 def _occurs(doc: PositionalDocument, stem: str | tuple[str, ...]) -> bool:
     """Whether ``positions_of(doc, stem)`` is non-empty, without merging a class."""
     inverted = doc.inverted
-    return stem in inverted if isinstance(stem, str) else any(s in inverted for s in stem)
+    return stem in inverted if isinstance(stem, str) else not inverted.keys().isdisjoint(stem)
 
 
 def has_terms(doc: PositionalDocument, node: QueryNode) -> bool:
@@ -231,6 +273,7 @@ def has_terms(doc: PositionalDocument, node: QueryNode) -> bool:
     A term needs an occurrence (a class, one of its members), AND and NEAR
     need both sides, OR needs either side.  When the answer is False, every
     nonzero value would need an absent term, so the relevance is 0 everywhere.
+    An empty document holds no term, so it fails every query.
     """
     inverted = doc.inverted
     values: list = []
@@ -246,6 +289,104 @@ def has_terms(doc: PositionalDocument, node: QueryNode) -> bool:
             stem = step[0]
             values.append(stem in inverted if isinstance(stem, str) else _occurs(doc, stem))
     return values.pop()
+
+
+def _profile_rows(docs, starts, steps, held, profiles, settings) -> dict:
+    """Each leaf step's values over the block: profiled in the documents that hold it, 0 elsewhere.
+
+    The leaves of one NEAR width share one call of ``profiles(segments,
+    settings)``.  A block of one document takes each leaf's segment as its
+    row; otherwise the segments are scattered into rows of exact zeros.
+    """
+    span = starts[-1]
+    widths: dict = {}
+    for step in steps:
+        widths.setdefault(step[1], []).append(step)
+    rows = {}
+    for width, group in widths.items():
+        segments = [(docs[d], step[0]) for step in group for d in held[step]]
+        flat = profiles(segments, settings if width is None else settings.with_width(width))
+        if len(docs) == 1:
+            rows.update(zip(group, flat.reshape(len(group), span)))
+            continue
+        matrix = np.zeros((len(group), span), dtype=np.float64)
+        lengths = [doc.n for doc, _ in segments]
+        places = [row * span + starts[d] for row, step in enumerate(group) for d in held[step]]
+        # each segment's values go to its leaf's row, at its document's place
+        shift = np.subtract(places, list(accumulate(lengths[:-1], initial=0))).repeat(lengths)
+        shift += np.arange(len(flat))
+        matrix.reshape(-1)[shift] = flat
+        rows.update(zip(group, matrix))
+    return rows
+
+
+def _leaf_rows(docs, starts, reads, held, profiles, settings):
+    """The values over the block of each leaf step of ``reads``, in order; None for one no document holds.
+
+    Leaves are profiled in batches: the next distinct leaves to be read,
+    as many as fit ``_BATCH_VALUES`` values of rows over the block (at
+    least one).  A batch is dropped when the next one is profiled, and a
+    leaf read again after that is profiled again, so a block's memory is
+    bounded whatever its number of leaves.
+    """
+    room = max(1, _BATCH_VALUES // starts[-1])
+    rows: dict = {}
+    for at, step in enumerate(reads):
+        if step not in rows and held[step]:
+            batch = {step: None}
+            for later in range(at + 1, len(reads)):
+                if len(batch) == room:
+                    break
+                if held[reads[later]]:
+                    batch[reads[later]] = None
+            rows = _profile_rows(docs, starts, list(batch), held, profiles, settings)
+        yield rows.get(step)
+
+
+def _block_similarities(
+    docs: list[PositionalDocument], nodes: list[QueryNode], profiles, settings
+) -> list[list[float]]:
+    """Each document's similarity to each query: ``[d][i]`` is ``docs[d]`` against ``nodes[i]``.
+
+    Both modes score blocks through this body, each with its own block
+    leaf profile (``_term_profiles``, ``rbfwin._rbf_term_profiles``).
+    Pairs that fail ``has_terms`` score exactly 0, unprofiled.  A leaf
+    is profiled only in those documents of the passing pairs that hold its
+    stem; in the block's other documents it is an exact 0, which folds as
+    an absent term does: ``min(0, x) = 0`` and ``max(0, x) = x``.  Each
+    query is folded over the block's documents laid end to end, one query
+    at a time, and each pair's score is the sum of its document's slice of
+    that fold, over n.  A contiguous slice sums pairwise in the same order
+    as the same values in an array of their own, so a document gets the
+    same floats in any block.
+    """
+    scores = [[0.0] * len(nodes) for _ in docs]
+    passing = {}  # query number -> its scorable documents' numbers
+    for i, node in enumerate(nodes):
+        scorable = [d for d, doc in enumerate(docs) if has_terms(doc, node)]
+        if scorable:
+            passing[i] = scorable
+    if not passing:
+        return scores
+    starts = list(accumulate([doc.n for doc in docs], initial=0))
+    held: dict = {}  # leaf step -> the documents that need it and hold its stem, as dict keys
+    reads: list = []  # the leaf steps the folds read, in order
+    for i, scorable in passing.items():
+        leaves = [step for step in query_plan(nodes[i]) if type(step) is tuple]
+        reads += leaves
+        for step in leaves:
+            holders = held.setdefault(step, {})
+            for d in scorable:
+                if d not in holders and _occurs(docs[d], step[0]):
+                    holders[d] = None
+    rows = _leaf_rows(docs, starts, reads, held, profiles, settings)
+    for i, scorable in passing.items():
+        # the fold reads its leaves in plan order, which is the order of ``reads``
+        folded = fold_query(nodes[i], lambda stem, settings: next(rows), settings)
+        for d in scorable:
+            n = docs[d].n
+            scores[d][i] = float(folded[starts[d] : starts[d] + n].sum()) / n
+    return scores
 
 
 def present_profile(doc: PositionalDocument, node: QueryNode, profile, settings) -> np.ndarray:
@@ -285,13 +426,16 @@ def score(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> 
 def _similarity(doc: PositionalDocument, node: QueryNode, profile, settings) -> float:
     """The positional sum of ``present_profile(doc, node, profile, settings)`` over N.
 
-    Both modes' similarities are this body with their own leaf.  Empty
-    documents and those that fail ``has_terms`` score exactly 0, unprofiled.
+    Both modes' similarities are this body with their own leaf.  Pairs that
+    fail ``has_terms`` score exactly 0, unprofiled.  It gives the same
+    floats as ``_block_similarities`` of a block of this one document: the
+    same leaf values, the same fold, and the sum of the whole fold.  Each
+    leaf is profiled on its own here, since for one pair a block's
+    bookkeeping costs more than batching its few leaves saves.
     """
-    n = doc.n
-    if n == 0 or not has_terms(doc, node):
+    if not has_terms(doc, node):
         return 0.0
-    return float(present_profile(doc, node, profile, settings).sum()) / n
+    return float(present_profile(doc, node, profile, settings).sum()) / doc.n
 
 
 def similarity(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> float:

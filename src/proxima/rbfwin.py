@@ -13,37 +13,50 @@ occurrences, i.e. how deep inside the term's influence zone it sits.
 
 A window's boost depends only on its tuple of neighbor values and the band
 multiplier, and ``window_boost`` is the one function that sums it, for the
-scalar ``rbf_local_relevance`` (the unmemoised oracle) and the array
-``rbf_term_profile`` alike.  The array path names each window by an integer
-code.  A neighbor's digit is its distance to the nearest occurrence, clipped
-to top = min(k, n): an index into the kernel's table of values.  One more
-digit, top + 1, means "outside the document".  The 2*kf' digits (kf' =
-min(kf, n)) in radix top + 2 fill as many int64 words as they need, and a
-code is an int for one word and a tuple of ints for more.  Documents repeat
-the same few windows over and over, so each code's boost is memoised per
-window geometry (kernel shape, k, radix, kf', multiplier) in a process-wide
-dict, which is cleared when it reaches a fixed size.  The memo is exact: a
-code fixes its window of table values, a code missing from the memo is
-decoded to exactly the tuple the scalar path builds and summed by the same
-``window_boost``, and the same tuple always gives the same float.  So
-memoised and fresh boosts are bit-identical, and values on the band edge
-cannot flip.  An all-zero window's boost is exactly 0.0, so
-``rbf_term_profile`` does not look such windows up at all, and a document
-whose query fails ``has_terms`` is not profiled.
+scalar ``rbf_local_relevance`` (the unmemoised oracle) and the array path
+alike.  The array path is ``_rbf_term_profiles``, which profiles a block:
+a list of (document, stem) segments laid end to end, such as the present
+leaves of the documents a classification pass scores, or the one segment
+of ``rbf_term_profile``.  Each segment's digits come from one shared
+``searchsorted`` (``proxcore._segment_digits``): a position's digit is its
+distance to the nearest occurrence in its own segment, clipped to top =
+min(k, longest segment), an index into the kernel's table of values.  One
+more digit, top + 1, means "outside the segment".  The segments are
+written into rows of digits with kf' outside digits before, between and
+after them (kf' = min(kf, longest)), so no window reaches across a segment
+edge; a row holds about ``_ROW_DIGITS`` digits, or one longer segment.
+Each window's 2*kf' digits in radix top + 2 fill as many int64 words as
+they need: its code, an int for one word and a tuple of ints for more.
+Documents repeat the same few windows over and over, so each code's boost
+is memoised per window geometry (kernel shape, k, radix, kf', multiplier)
+in a process-wide dict, which is cleared when it reaches a fixed size.
+The memo is exact: a code fixes its window of table values, a code
+missing from the memo is decoded to exactly the tuple the scalar path
+builds and summed by the same ``window_boost``, and the same tuple always
+gives the same float.  So memoised and fresh boosts are bit-identical, and
+values on the band edge cannot flip, whatever block or row a window is
+scored in.  An all-zero window's boost is exactly 0.0, so such windows are
+not looked up at all, and a document whose query fails ``has_terms`` is
+not profiled.  ``window_stats`` adds left to right, as the builtin
+``sum()`` does only before Python 3.12.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import chain
+from operator import add
 
 import numpy as np
 
 from .posindex import PositionalDocument
 from .proxcore import (
     InfluenceKernel,
-    _distance_digits,
+    _occurs,
+    _segment_digits,
+    _Segments,
     _similarity,
     fold_query,
     local_relevance,
@@ -78,9 +91,13 @@ _WINDOW_CACHE_SIZE = 4096
 # window geometry (kernel shape, k, radix, kf', threshold_scale) -> code -> boost
 _WINDOWS: dict[tuple, dict] = {}
 
-# the window codes are made for this many digits' worth of positions at a
-# time, so memory stays bounded even when kf' is the document's length
-_BLOCK_DIGITS = 1 << 20
+# A row of digits holds segments of about this many digits in all (or one
+# longer segment), so the kf "outside" digits between short segments cannot
+# make it long, and its windows are copied out for coding this many digits
+# at a time.  Either way a row's arrays stay small, and the Python lists of
+# its live windows' codes hold at most this many.  On the three benchmark
+# workloads, 2**13 and 2**16 score equally fast.
+_ROW_DIGITS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -99,7 +116,13 @@ class RbfConfig:
             raise ValueError(f"threshold_scale must be finite and >= 0, got {self.threshold_scale}")
 
     def with_width(self, k: int) -> "RbfConfig":
-        return replace(self, kernel=self.kernel.with_width(k))
+        """This config with its kernel narrowed to width k, built once per (config, k)."""
+        return _narrowed(self, k)
+
+
+@lru_cache(maxsize=256)
+def _narrowed(cfg: RbfConfig, k: int) -> RbfConfig:
+    return replace(cfg, kernel=cfg.kernel.with_width(k))
 
 
 @dataclass(frozen=True)
@@ -117,8 +140,10 @@ def window_stats(values) -> WindowStats:
     n = len(vs)
     if n == 0:
         return WindowStats()
-    mu = sum(vs) / n
-    sigma = math.sqrt(sum((v - mu) ** 2 for v in vs) / n)
+    # summed left to right: the builtin sum() compensates its rounding from
+    # Python 3.12 on, which would make these floats depend on the interpreter
+    mu = reduce(add, vs, 0.0) / n
+    sigma = math.sqrt(reduce(add, [(v - mu) ** 2 for v in vs], 0.0) / n)
     return WindowStats(mu=mu, sigma=sigma, count=n)
 
 
@@ -185,39 +210,81 @@ def rbf_local_relevance(doc: PositionalDocument, term: str, x: int, cfg: RbfConf
     return min(raw, 1.0) if cfg.clamp_output else raw
 
 
-def rbf_term_profile(doc: PositionalDocument, term: str, cfg: RbfConfig) -> np.ndarray:
-    """rbf_local_relevance of ``term`` at every position, as one array.
+def _rbf_term_profiles(segments: _Segments, cfg: RbfConfig) -> np.ndarray:
+    """``rbf_term_profile`` of each (document, stem) segment, laid end to end in one array.
 
-    A window whose values are all 0 has mu = sigma = 0 and a boost of exactly
-    0.0, so only the windows holding a nonzero value are looked up; the
-    others keep a boost of 0.0.  A looked-up window is one code (see
-    ``_window_codes``), and its boost comes from the window memo.
+    Every stem must occur in its document.  The segments share one
+    ``searchsorted`` for their distance digits (``_segment_digits``); their
+    windows are coded in rows of about ``_ROW_DIGITS`` digits
+    (``_row_boosts``), usually one, and looked up in the window memo.
     """
-    n = doc.n
-    found = _distance_digits(doc, term, cfg.kernel)
-    if found is None:
-        return np.zeros(n, dtype=np.float64)
-    digits, table = found
+    digits, table, lengths = _segment_digits(segments, cfg.kernel)
     base = table[digits]
-    # every window is clipped to the document, so any kf >= n gives the same
+    # every window is clipped to its segment, so any kf >= n gives the same
     # windows; capping it keeps the index sums inside int64
-    kf = min(cfg.kf, n)
-    nonzero = base != 0.0
-    # seen[x + 2kf + 1] - seen[x] counts the nonzero values in [x - kf, x + kf]
-    seen = np.zeros(n + 2 * kf + 1, dtype=np.int64)
-    np.cumsum(nonzero, out=seen[kf + 1 : n + kf + 1])
-    seen[n + kf + 1 :] = seen[n + kf]
-    # the window around x holds a nonzero value when its count, less x's own, is positive
-    live = np.flatnonzero(seen[2 * kf + 1 :] - seen[:n] > nonzero)
-    radix = len(table) + 1
-    words = [word[live].tolist() for word in _window_codes(digits, kf, radix)]
-    codes = words[0] if len(words) == 1 else list(zip(*words))
-    geometry = (cfg.kernel.shape, cfg.kernel.k, radix, kf, cfg.threshold_scale)
-    boosts = np.zeros(n, dtype=np.float64)
-    boosts[live] = _window_boosts(codes, geometry, table)
+    kf = min(cfg.kf, max(lengths))
+    geometry = (cfg.kernel.shape, cfg.kernel.k, len(table) + 1, kf, cfg.threshold_scale)
+    boosts = np.zeros(len(digits), dtype=np.float64)
+    first = at = 0
+    while first < len(lengths):
+        # the next segments whose digits and outside digits fit one row (at least one)
+        last, size = first + 1, lengths[first]
+        while last < len(lengths) and size + (last + 2 - first) * kf + lengths[last] <= _ROW_DIGITS:
+            size += lengths[last]
+            last += 1
+        row = slice(at, at + size)
+        _row_boosts(digits[row], base[row], lengths[first:last], geometry, table, boosts[row])
+        first, at = last, at + size
     # elementwise float64 addition and min round exactly like the scalar forms
-    raw = base + boosts
-    return np.minimum(raw, 1.0) if cfg.clamp_output else raw
+    raw = np.add(base, boosts, out=boosts)
+    return np.minimum(raw, 1.0, out=raw) if cfg.clamp_output else raw
+
+
+def _row_boosts(digits, base, lengths, geometry: tuple, table: np.ndarray, out: np.ndarray) -> None:
+    """Write the window boost of each of some segments' positions into ``out`` (zeros).
+
+    The segments' digits go into one row with kf "outside" digits before,
+    between and after them, so that no window reaches across a segment
+    edge.  A window whose values are all 0 has mu = sigma = 0 and a boost
+    of exactly 0.0, so only the windows holding a nonzero value besides
+    their centre's are looked up; the others keep their 0.0.
+    """
+    radix, kf = geometry[2], geometry[3]
+    # ``real`` picks the segments' positions out of the row, and ``centres``
+    # the windows around them.  A lone segment, as when one document is
+    # scored, is one slice of the row and its windows are all the row's, so
+    # it needs neither.
+    lone = len(lengths) == 1
+    if lone:
+        real = slice(kf, kf + len(digits))
+    else:
+        real = np.zeros(2 * len(lengths) + 1, dtype=bool)
+        real[1::2] = True
+        real = real.repeat([kf, *chain.from_iterable((n, kf) for n in lengths)])
+        centres = np.flatnonzero(real[kf:-kf])
+    padded = np.full(len(digits) + (len(lengths) + 1) * kf, radix - 1, dtype=np.int64)
+    padded[real] = digits
+    nonzero = np.zeros(len(padded), dtype=bool)
+    nonzero[real] = base != 0.0
+    # window w is the one around padded position w + kf; seen[w + 2kf + 1] - seen[w]
+    # counts its nonzero values
+    seen = np.zeros(len(padded) + 1, dtype=np.int64)
+    np.cumsum(nonzero, out=seen[1:])
+    count = len(padded) - 2 * kf
+    holds = seen[2 * kf + 1 :] - seen[:count] > nonzero[kf : kf + count]
+    del nonzero, seen
+    live = np.flatnonzero(holds if lone else holds[centres])
+    wanted = live if lone else centres[live]
+    words = [word.tolist() for word in _window_codes(padded, kf, radix, wanted)]
+    codes = words[0] if len(words) == 1 else list(zip(*words))
+    out[live] = _window_boosts(codes, geometry, table)
+
+
+def rbf_term_profile(doc: PositionalDocument, term: str, cfg: RbfConfig) -> np.ndarray:
+    """rbf_local_relevance of ``term`` at every position, as one array."""
+    if not _occurs(doc, term):
+        return np.zeros(doc.n, dtype=np.float64)
+    return _rbf_term_profiles([(doc, term)], cfg)
 
 
 @lru_cache(maxsize=64)
@@ -242,28 +309,39 @@ def _window_layout(radix: int, kf: int) -> tuple[int, list[tuple[int, int, np.nd
     return per_word, words
 
 
-def _window_codes(digits: np.ndarray, kf: int, radix: int) -> list[np.ndarray]:
-    """Each position's window code, as one int64 array per word.
+def _window_codes(padded: np.ndarray, kf: int, radix: int, wanted: np.ndarray) -> list[np.ndarray]:
+    """The code of the window ``padded[w : w + 2*kf + 1]`` of each w in ``wanted``, one int64 array per word.
 
     A window's code is its 2*kf neighbours' digits in base ``radix``, the
     first neighbour lowest: a neighbour's digit is its clipped distance (an
-    index into the kernel table), or radix - 1 where it falls outside the
-    document.  The digits fill as many int64 words as they need.  Equal
+    index into the kernel table), or radix - 1 where it falls outside its
+    segment.  The digits fill as many int64 words as they need.  Equal
     codes are equal windows of table values, so a code stands for its
     window exactly.
     """
-    per_word, words = _window_layout(radix, kf)
-    n, width = len(digits), 2 * kf + 1
-    padded = np.full(n + width - 1, radix - 1, dtype=np.int64)
-    padded[kf : kf + n] = digits
-    # row x is padded[x : x + width], the window around x, as a read-only view
-    strides = padded.strides * 2
-    windows = np.lib.stride_tricks.as_strided(padded, (n, width), strides, writeable=False)
-    step = max(1, _BLOCK_DIGITS // width)
-    return [
-        np.concatenate([windows[row : row + step, first:last] @ weights for row in range(0, n, step)])
-        for first, last, weights in words
-    ]
+    words = _window_layout(radix, kf)[1]
+    width = 2 * kf + 1
+    # windows[w] is padded[w : w + width], as a read-only view
+    shape, strides = (len(padded) - width + 1, width), padded.strides * 2
+    windows = np.ndarray(shape, padded.dtype, padded, strides=strides)
+    windows.flags.writeable = False
+    if 16 * len(wanted) >= len(windows):
+        # Coding every window in place reads the view with no copy, one word
+        # at a time, and is the cheapest unless nearly all windows are
+        # unwanted: per call it took 19 us against 34 us copying out on
+        # index-arabic's documents, and 9 us against 13 us on rank-sparse's,
+        # where one window in nine is wanted.
+        return [(windows[:, first:last] @ weights)[wanted] for first, last, weights in words]
+    # Few windows are wanted, as in a row of many short segments between
+    # wide runs of outside digits: copy out only those, this many at a time,
+    # so a wide window costs no more memory than a narrow one.
+    step = max(1, _ROW_DIGITS // width)
+    codes = [np.empty(len(wanted), dtype=np.int64) for _ in words]
+    for start in range(0, len(wanted), step):
+        picked = windows[wanted[start : start + step]]
+        for code, (first, last, weights) in zip(codes, words):
+            np.matmul(picked[:, first:last], weights, out=code[start : start + step])
+    return codes
 
 
 def _window_values(code, geometry: tuple, table: list[float]) -> tuple[float, ...]:
