@@ -7,15 +7,15 @@ matches its equivalents; the highest-similarity category wins, with
 alphabetical tie-breaking.  The evaluation harness reports per-category
 recall/precision/F1 and unweighted macro averages over top-1 predictions.
 
-``evaluate`` and ``proxima classify`` score documents in blocks
-(``classify_documents``): runs of documents of at most ``BLOCK_POSITIONS``
-positions, whose present leaves of every category are profiled together,
-in batches of a bounded number of values (usually one batch), and folded
-per category over the block's documents laid end to end.  Each
-document's similarity is the sum of its own slice of that fold, over its
-length, which is the same float as scoring the document alone: the leaves'
-values are the same, absent leaves fold as exact zeros, and numpy sums a
-contiguous slice in the same order as a copy of it.
+``evaluate``, ``proxima classify`` and ``proxima query`` score documents
+in runs of at most ``BLOCK_POSITIONS`` positions (``classify_documents``,
+``mode_similarities``).  Each query is folded over a run's documents laid
+end to end, each leaf profiled in the documents that hold it as the fold
+reads it (``proxcore._similarities``), and each document's similarity is
+the sum of its own slice of that fold, over its length.  That is the same
+float as scoring the document alone: the leaves' values are the same,
+absent leaves fold as exact zeros, and numpy sums a contiguous slice in
+the same order as a copy of it.
 
 The synthetic generator stands in for a real labeled corpus: each document
 mixes clustered own-category vocabulary (descriptors with equivalent terms
@@ -33,7 +33,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
 from .posindex import Corpus, PositionalDocument, build_document, write_text_atomic
-from .proxcore import _block_similarities, _term_profiles, similarity
+from .proxcore import _similarities, _term_profiles, similarity
 from .querylang import Or, QueryNode, Term
 from .rbfwin import RbfConfig, _rbf_term_profiles, rbf_similarity
 from .textprep import (
@@ -56,6 +56,7 @@ __all__ = [
     "category_query",
     "substitute_equivalents",
     "mode_similarity",
+    "mode_similarities",
     "classify",
     "classify_documents",
     "rank_by_score",
@@ -70,15 +71,15 @@ __all__ = [
 
 MODES = ("standard", "rbf")
 
-# ``classify_documents`` scores documents in blocks of at most this many
-# positions (a longer document is a block of its own).  A block's arrays
-# take a few dozen bytes per position for each leaf it holds, up to the
-# batch bound of ``proxcore._BATCH_VALUES``.  On the C5 corpus (150-position
-# documents, six leaves), an `evaluate` pass's traced peak was 0.1 MB with
-# 2**9 positions against 0.4 MB with 2**11, and its peak RSS grew no more
-# than scoring one document at a time did; 2**11 scored standard mode 1.2x
-# and rbf mode 1.05x as fast.
-BLOCK_POSITIONS = 1 << 9
+# ``classify_documents`` and ``mode_similarities`` score documents in runs
+# of at most this many positions (a longer document is a run of its own).
+# A fold holds a few rows over its run at a time, whatever the number of
+# leaves, so a run's arrays take a few dozen bytes per position.  Larger
+# runs make fewer profile calls per leaf.  On the three benchmark workloads'
+# corpora (2-core VM, Python 3.11.7, numpy 2.4.6), 2**13 scored 1.2x to 2.5x
+# as fast as 2**9, and 2**14 and 2**15 no faster; a C5 `evaluate` pass's
+# traced peak was 0.4-0.6 MB, against 0.03-0.05 MB at 2**9 and 1.4 MB at 2**15.
+BLOCK_POSITIONS = 1 << 13
 
 # reserved: names the macro row in machine-readable eval records
 _MACRO = "macro"
@@ -196,10 +197,10 @@ def classify(
 ) -> list[tuple[str, float]]:
     """Rank categories by similarity, highest first, ties by ascending name.
 
-    Each category is scored by the mode's one-pair similarity
-    (``similarity`` or ``rbf_similarity``), which profiles each leaf as a
-    block of one segment.  ``classify_documents`` gives the same floats
-    for many documents at once.
+    Each category is scored by the mode's one-document similarity
+    (``similarity`` or ``rbf_similarity``), which folds a run of this one
+    document.  ``classify_documents`` gives the same floats for many
+    documents at once.
     """
     if not categories:
         raise ValueError("need at least one category")
@@ -213,29 +214,36 @@ def classify_documents(
     cfg: RbfConfig,
     mode: str = "standard",
 ) -> Iterator[list[tuple[str, float]]]:
-    """``classify`` of each document, scored in blocks of at most ``BLOCK_POSITIONS`` positions.
+    """``classify`` of each document, scored in runs of at most ``BLOCK_POSITIONS`` positions.
 
-    A block is one pass over the present leaves of every category in its
-    documents (``proxcore._block_similarities``), and gives each document
-    the same floats as scoring it alone.  The mode is checked here; the
-    rankings are made block by block as they are read.
+    Each category's query is folded over a run's documents at once
+    (``proxcore._similarities``), which gives each document the same floats
+    as scoring it alone.  The mode is checked here; the rankings are made
+    run by run as they are read.
     """
     if not categories:
         raise ValueError("need at least one category")
     _, profiles, settings = _mode_scorers(cfg, mode)
     names = [model.name for model in categories]
-    nodes = [model.query for model in categories]
     return (
         rank_by_score(zip(names, scores))
         for block in _blocks(docs)
-        for scores in _block_similarities(block, nodes, profiles, settings)
+        for scores in zip(*[_similarities(block, model.query, profiles, settings) for model in categories])
     )
+
+
+def mode_similarities(
+    docs: Iterable[PositionalDocument], node: QueryNode, cfg: RbfConfig, mode: str
+) -> list[float]:
+    """``mode_similarity`` of each document, scored in runs of at most ``BLOCK_POSITIONS`` positions."""
+    _, profiles, settings = _mode_scorers(cfg, mode)
+    return [value for block in _blocks(docs) for value in _similarities(block, node, profiles, settings)]
 
 
 def _blocks(docs: Iterable[PositionalDocument]) -> Iterator[list[PositionalDocument]]:
     """The documents in order, in runs of at most ``BLOCK_POSITIONS`` positions.
 
-    A document longer than that is a block of its own.
+    A document longer than that is a run of its own.
     """
     block: list[PositionalDocument] = []
     size = 0
@@ -346,6 +354,8 @@ def metrics_from_confusion(
 ) -> EvalReport:
     """Compute recall/precision/F1 per category from a confusion matrix."""
     names = tuple(categories)
+    if not names:
+        raise ValueError("need at least one category")
     if len(confusion) != len(names) or any(len(row) != len(names) for row in confusion):
         raise ValueError("confusion matrix shape does not match the category list")
     matrix = tuple(tuple(int(v) for v in row) for row in confusion)

@@ -23,7 +23,7 @@ from .classify import (
     generate_synthetic_corpus,
     load_categories,
     load_synthetic_spec,
-    mode_similarity,
+    mode_similarities,
     rank_by_score,
     save_categories,
 )
@@ -185,12 +185,10 @@ def cmd_query(args: argparse.Namespace, cfg: RunConfig) -> int:
                 except ValueError as exc:
                     raise ValueError(f"{args.query_file}:{lineno}: {exc}") from exc
     rbf = cfg.rbf_config()
+    docs = list(corpus)
     for number, (text, node) in enumerate(queries, start=1):
-        ranked = rank_by_score(
-            (doc.doc_id, value)
-            for doc in corpus
-            if (value := mode_similarity(doc, node, rbf, cfg.mode)) > 0.0
-        )
+        scores = mode_similarities(docs, node, rbf, cfg.mode)
+        ranked = rank_by_score((doc.doc_id, value) for doc, value in zip(docs, scores) if value > 0.0)
         if len(queries) > 1:
             print(f"# query {number}: {text}")
         for rank, (doc_id, value) in enumerate(ranked, start=1):

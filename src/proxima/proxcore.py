@@ -8,12 +8,12 @@ those per-position values with min (AND), max (OR) and a width-narrowed min
 similarity is that sum divided by N, which keeps it in [0, 1].
 
 Profiles are built for a block of (document, stem) segments at a time
-(``_term_profiles``; ``term_profile`` is a block of one segment).
-``_block_similarities`` scores many documents against many queries with
-the documents laid end to end, as a classification pass does; its leaves
-are profiled in batches of a bounded number of values, so its memory does
-not grow with the number of leaves.  ``similarity`` scores one pair with
-the same floats, profiling each leaf as the fold reads it.
+(``_term_profiles``; ``term_profile`` is a block of one segment).  One
+body, ``_fold``, folds a query over a run of documents laid end to end,
+profiling each leaf in the documents that hold it as the fold reads it:
+``similarity`` and ``query_profile`` fold a run of one document, and
+``_similarities`` scores a run of many, as a classification pass or a
+``proxima query`` does, with the same floats.
 """
 
 from __future__ import annotations
@@ -38,7 +38,6 @@ __all__ = [
     "near_boolean",
     "fold_query",
     "has_terms",
-    "present_profile",
     "eval_query_at",
     "query_profile",
     "score",
@@ -49,13 +48,6 @@ KERNEL_SHAPES = ("triangular", "rectangular", "gaussian", "hanning")
 
 # a block of (document, stem) pairs to profile, laid end to end; each stem occurs in its document
 _Segments = list[tuple[PositionalDocument, "str | tuple[str, ...]"]]
-
-# A block's leaves are profiled in batches of at most this many values of
-# rows over the block's documents (and at least one leaf).  A batch's
-# arrays take a few times that many 8-byte values; the classification
-# workloads' blocks profile all their leaves in one batch.
-_BATCH_VALUES = 1 << 16
-
 
 @dataclass(frozen=True)
 class InfluenceKernel:
@@ -291,117 +283,60 @@ def has_terms(doc: PositionalDocument, node: QueryNode) -> bool:
     return values.pop()
 
 
-def _profile_rows(docs, starts, steps, held, profiles, settings) -> dict:
-    """Each leaf step's values over the block: profiled in the documents that hold it, 0 elsewhere.
+def _fold(docs: list[PositionalDocument], node: QueryNode, profiles, settings) -> np.ndarray:
+    """``fold_query`` over the documents laid end to end, as one array; zeros where the query is 0.
 
-    The leaves of one NEAR width share one call of ``profiles(segments,
-    settings)``.  A block of one document takes each leaf's segment as its
-    row; otherwise the segments are scattered into rows of exact zeros.
-    """
-    span = starts[-1]
-    widths: dict = {}
-    for step in steps:
-        widths.setdefault(step[1], []).append(step)
-    rows = {}
-    for width, group in widths.items():
-        segments = [(docs[d], step[0]) for step in group for d in held[step]]
-        flat = profiles(segments, settings if width is None else settings.with_width(width))
-        if len(docs) == 1:
-            rows.update(zip(group, flat.reshape(len(group), span)))
-            continue
-        matrix = np.zeros((len(group), span), dtype=np.float64)
-        lengths = [doc.n for doc, _ in segments]
-        places = [row * span + starts[d] for row, step in enumerate(group) for d in held[step]]
-        # each segment's values go to its leaf's row, at its document's place
-        shift = np.subtract(places, list(accumulate(lengths[:-1], initial=0))).repeat(lengths)
-        shift += np.arange(len(flat))
-        matrix.reshape(-1)[shift] = flat
-        rows.update(zip(group, matrix))
-    return rows
-
-
-def _leaf_rows(docs, starts, reads, held, profiles, settings):
-    """The values over the block of each leaf step of ``reads``, in order; None for one no document holds.
-
-    Leaves are profiled in batches: the next distinct leaves to be read,
-    as many as fit ``_BATCH_VALUES`` values of rows over the block (at
-    least one).  A batch is dropped when the next one is profiled, and a
-    leaf read again after that is profiled again, so a block's memory is
-    bounded whatever its number of leaves.
-    """
-    room = max(1, _BATCH_VALUES // starts[-1])
-    rows: dict = {}
-    for at, step in enumerate(reads):
-        if step not in rows and held[step]:
-            batch = {step: None}
-            for later in range(at + 1, len(reads)):
-                if len(batch) == room:
-                    break
-                if held[reads[later]]:
-                    batch[reads[later]] = None
-            rows = _profile_rows(docs, starts, list(batch), held, profiles, settings)
-        yield rows.get(step)
-
-
-def _block_similarities(
-    docs: list[PositionalDocument], nodes: list[QueryNode], profiles, settings
-) -> list[list[float]]:
-    """Each document's similarity to each query: ``[d][i]`` is ``docs[d]`` against ``nodes[i]``.
-
-    Both modes score blocks through this body, each with its own block
-    leaf profile (``_term_profiles``, ``rbfwin._rbf_term_profiles``).
-    Pairs that fail ``has_terms`` score exactly 0, unprofiled.  A leaf
-    is profiled only in those documents of the passing pairs that hold its
-    stem; in the block's other documents it is an exact 0, which folds as
-    an absent term does: ``min(0, x) = 0`` and ``max(0, x) = x``.  Each
-    query is folded over the block's documents laid end to end, one query
-    at a time, and each pair's score is the sum of its document's slice of
-    that fold, over n.  A contiguous slice sums pairwise in the same order
-    as the same values in an array of their own, so a document gets the
-    same floats in any block.
-    """
-    scores = [[0.0] * len(nodes) for _ in docs]
-    passing = {}  # query number -> its scorable documents' numbers
-    for i, node in enumerate(nodes):
-        scorable = [d for d, doc in enumerate(docs) if has_terms(doc, node)]
-        if scorable:
-            passing[i] = scorable
-    if not passing:
-        return scores
-    starts = list(accumulate([doc.n for doc in docs], initial=0))
-    held: dict = {}  # leaf step -> the documents that need it and hold its stem, as dict keys
-    reads: list = []  # the leaf steps the folds read, in order
-    for i, scorable in passing.items():
-        leaves = [step for step in query_plan(nodes[i]) if type(step) is tuple]
-        reads += leaves
-        for step in leaves:
-            holders = held.setdefault(step, {})
-            for d in scorable:
-                if d not in holders and _occurs(docs[d], step[0]):
-                    holders[d] = None
-    rows = _leaf_rows(docs, starts, reads, held, profiles, settings)
-    for i, scorable in passing.items():
-        # the fold reads its leaves in plan order, which is the order of ``reads``
-        folded = fold_query(nodes[i], lambda stem, settings: next(rows), settings)
-        for d in scorable:
-            n = docs[d].n
-            scores[d][i] = float(folded[starts[d] : starts[d] + n].sum()) / n
-    return scores
-
-
-def present_profile(doc: PositionalDocument, node: QueryNode, profile, settings) -> np.ndarray:
-    """``fold_query`` over ``profile(doc, stem, settings)``, with absent terms as exact zeros.
-
-    ``profile`` must give 0 at every position for a term absent from ``doc``;
-    such terms are never profiled, and a query that folds to None gets one
-    array of zeros.
+    Each leaf is one ``profiles(segments, settings)`` call (``_term_profiles``
+    or ``rbfwin._rbf_term_profiles``) over the documents that hold its
+    stem, made when the fold reads the leaf.  Those values are the leaf's
+    row when every document holds the stem; otherwise they are scattered
+    into a row of exact zeros, which fold as an absent term does: ``min(0,
+    x) = 0`` and ``max(0, x) = x``.  A leaf no document holds is None.  So
+    each document's slice holds the floats of folding it alone, and the
+    fold holds only the rows it has not yet combined, whatever the
+    number of leaves.
     """
 
     def leaf(stem, settings):
-        return profile(doc, stem, settings) if _occurs(doc, stem) else None
+        # a loop, not a comprehension, which costs a call per leaf before Python 3.12
+        segments = []
+        for doc in docs:
+            if _occurs(doc, stem):
+                segments.append((doc, stem))
+        if not segments:
+            return None
+        values = profiles(segments, settings)
+        if len(segments) == len(docs):
+            return values
+        # each holder's values go to its own place in the run
+        row = np.zeros(sum(doc.n for doc in docs), dtype=np.float64)
+        row[np.repeat([_occurs(doc, stem) for doc in docs], [doc.n for doc in docs])] = values
+        return row
 
     values = fold_query(node, leaf, settings)
-    return np.zeros(doc.n, dtype=np.float64) if values is None else values
+    return np.zeros(sum(doc.n for doc in docs), dtype=np.float64) if values is None else values
+
+
+def _similarities(docs: list[PositionalDocument], node: QueryNode, profiles, settings) -> list[float]:
+    """Each document's similarity to the query, through one ``_fold`` of the documents that can score.
+
+    Documents that fail ``has_terms`` score exactly 0, unprofiled.  The
+    others are folded as one run, and each scores the sum of its own slice
+    over n.  A contiguous slice sums pairwise in the same order as the same
+    values in an array of their own, so a document gets the same float in
+    any run as alone.
+    """
+    scores = [0.0] * len(docs)
+    scorable = [d for d, doc in enumerate(docs) if has_terms(doc, node)]
+    if not scorable:
+        return scores
+    folded = _fold([docs[d] for d in scorable], node, profiles, settings)
+    start = 0
+    for d in scorable:
+        n = docs[d].n
+        scores[d] = float(folded[start : start + n].sum()) / n
+        start += n
+    return scores
 
 
 def eval_query_at(doc: PositionalDocument, node: QueryNode, x: int, kernel: InfluenceKernel) -> float:
@@ -415,7 +350,7 @@ def eval_query_at(doc: PositionalDocument, node: QueryNode, x: int, kernel: Infl
 
 def query_profile(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> np.ndarray:
     """eval_query_at over all in-document positions, as one array."""
-    return present_profile(doc, node, term_profile, kernel)
+    return _fold([doc], node, _term_profiles, kernel)
 
 
 def score(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> float:
@@ -423,21 +358,18 @@ def score(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> 
     return float(query_profile(doc, node, kernel).sum())
 
 
-def _similarity(doc: PositionalDocument, node: QueryNode, profile, settings) -> float:
-    """The positional sum of ``present_profile(doc, node, profile, settings)`` over N.
+def _similarity(doc: PositionalDocument, node: QueryNode, profiles, settings) -> float:
+    """The positional sum of ``_fold`` of this one document over N.
 
-    Both modes' similarities are this body with their own leaf.  Pairs that
-    fail ``has_terms`` score exactly 0, unprofiled.  It gives the same
-    floats as ``_block_similarities`` of a block of this one document: the
-    same leaf values, the same fold, and the sum of the whole fold.  Each
-    leaf is profiled on its own here, since for one pair a block's
-    bookkeeping costs more than batching its few leaves saves.
+    Both modes' similarities are this body with their own profiles.  A
+    document that fails ``has_terms`` scores exactly 0, unprofiled, as in
+    ``_similarities``, which it equals for a run of this one document.
     """
     if not has_terms(doc, node):
         return 0.0
-    return float(present_profile(doc, node, profile, settings).sum()) / doc.n
+    return float(_fold([doc], node, profiles, settings).sum()) / doc.n
 
 
 def similarity(doc: PositionalDocument, node: QueryNode, kernel: InfluenceKernel) -> float:
     """Length-normalized score in [0, 1], with ``term_profile`` as the leaf."""
-    return _similarity(doc, node, term_profile, kernel)
+    return _similarity(doc, node, _term_profiles, kernel)

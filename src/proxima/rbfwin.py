@@ -15,9 +15,9 @@ A window's boost depends only on its tuple of neighbor values and the band
 multiplier, and ``window_boost`` is the one function that sums it, for the
 scalar ``rbf_local_relevance`` (the unmemoised oracle) and the array path
 alike.  The array path is ``_rbf_term_profiles``, which profiles a block:
-a list of (document, stem) segments laid end to end, such as the present
-leaves of the documents a classification pass scores, or the one segment
-of ``rbf_term_profile``.  Each segment's digits come from one shared
+a list of (document, stem) segments laid end to end, such as one leaf in
+the documents of a run that hold it (``proxcore._fold``), or the one
+segment of ``rbf_term_profile``.  Each segment's digits come from one shared
 ``searchsorted`` (``proxcore._segment_digits``): a position's digit is its
 distance to the nearest occurrence in its own segment, clipped to top =
 min(k, longest segment), an index into the kernel's table of values.  One
@@ -54,13 +54,13 @@ import numpy as np
 from .posindex import PositionalDocument
 from .proxcore import (
     InfluenceKernel,
+    _fold,
     _occurs,
     _segment_digits,
     _Segments,
     _similarity,
     fold_query,
     local_relevance,
-    present_profile,
 )
 from .querylang import QueryNode
 
@@ -387,7 +387,7 @@ def rbf_eval_query_at(doc: PositionalDocument, node: QueryNode, x: int, cfg: Rbf
 
 def rbf_query_profile(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) -> np.ndarray:
     """rbf_eval_query_at over all positions, as one array."""
-    return present_profile(doc, node, rbf_term_profile, cfg)
+    return _fold([doc], node, _rbf_term_profiles, cfg)
 
 
 def rbf_similarity(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) -> float:
@@ -396,4 +396,4 @@ def rbf_similarity(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig) -> 
     A document that fails ``has_terms`` scores exactly 0: every window of an
     absent term is all 0, so its boost is 0 too.
     """
-    return _similarity(doc, node, rbf_term_profile, cfg)
+    return _similarity(doc, node, _rbf_term_profiles, cfg)

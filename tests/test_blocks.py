@@ -1,12 +1,13 @@
-"""Scoring in blocks: many documents and leaves per pass, the same floats as one by one.
+"""Scoring in blocks: many documents per fold, the same floats as one by one.
 
 ``classify_documents`` (and through it ``evaluate`` and ``proxima classify``)
-scores documents in blocks of at most ``classify.BLOCK_POSITIONS`` positions,
-profiling a block's leaves in batches of at most ``proxcore._BATCH_VALUES``
-values and its rbf windows in rows of about ``rbfwin._ROW_DIGITS`` digits.
-Every score must be bit-identical to the one-document ``classify``, which
-profiles each leaf on its own, whatever the block, batch and row sizes, so
-each check compares ``float.hex``.
+and ``mode_similarities`` (``proxima query``) score documents in runs of at
+most ``classify.BLOCK_POSITIONS`` positions, each query folded over a run at
+once (``proxcore._similarities``), with rbf windows coded in rows of about
+``rbfwin._ROW_DIGITS`` digits.  Every score must be bit-identical to the
+one-document ``classify`` and ``mode_similarity``, which fold a run of one
+document, whatever the run and row sizes, so each check compares
+``float.hex``.
 """
 
 import math
@@ -27,6 +28,8 @@ from proxima.classify import (
     classify_documents,
     evaluate,
     metrics_from_confusion,
+    mode_similarity,
+    rank_by_score,
     save_categories,
 )
 from proxima.cli import main
@@ -34,6 +37,7 @@ from proxima.posindex import Corpus, build_document, save_corpus
 from proxima.proxcore import KERNEL_SHAPES, InfluenceKernel, fold_query, has_terms, term_profile
 from proxima.querylang import parse_query
 from proxima.rbfwin import RbfConfig, rbf_term_profile, window_stats
+from proxima.textprep import default_stemmer
 
 # the package exports a function named classify, so fetch the module itself
 classify_module = sys.modules["proxima.classify"]
@@ -85,6 +89,12 @@ CONFIGS = [
 # one position, one document's length, a block the long document overflows, the whole corpus
 BLOCKS = [1, MID, LONG - 1, 10**9]
 
+# ``proxima query`` lines with AND, OR and NEAR; no document holds "w"
+QUERY_TEXTS = [
+    "a", "a AND b", "c OR x", "(a NEAR/3 b) OR h", "(e NEAR/2 z) AND (g OR d)", "w OR z", "w",
+    "x AND (y OR f)",
+]
+
 
 def _hex(rankings):
     return [[(name, value.hex()) for name, value in ranking] for ranking in rankings]
@@ -118,6 +128,18 @@ def test_blocks_give_the_one_document_floats(monkeypatch, tmp_path, capsys, bloc
     assert main([*argv, "--mode", mode, *flags]) == 0
     expected = "".join(f"{doc.doc_id}\t{r[0][0]}\t{r[0][1]:.6f}\n" for doc, r in zip(docs, alone))
     assert capsys.readouterr().out == expected
+
+    (tmp_path / "queries.txt").write_text("\n".join(QUERY_TEXTS) + "\n", encoding="utf-8")
+    argv = ["query", str(tmp_path / "corpus.tsv"), "--query-file", str(tmp_path / "queries.txt")]
+    assert main([*argv, "--mode", mode, *flags]) == 0
+    expected = []
+    for number, text in enumerate(QUERY_TEXTS, start=1):
+        node = parse_query(text, default_stemmer())
+        scores = ((doc.doc_id, mode_similarity(doc, node, cfg, mode)) for doc in docs)
+        ranked = rank_by_score(pair for pair in scores if pair[1] > 0.0)
+        expected.append(f"# query {number}: {text}\n")
+        expected += [f"{rank}\t{doc_id}\t{value:.6f}\n" for rank, (doc_id, value) in enumerate(ranked, 1)]
+    assert capsys.readouterr().out == "".join(expected)
 
 
 def test_blocks_split_by_positions(monkeypatch):
@@ -181,10 +203,10 @@ QUERIES = st.recursive(
     clamp=st.booleans(),
 )
 def test_block_similarities_equal_one_pair_at_a_time(docs, texts, shape, k, kf, threshold, clamp):
-    """Any queries, NEAR widths included, over any block of documents.
+    """Any queries, NEAR widths included, over any run of documents.
 
     Each pair's oracle folds its terms' one-document profiles with
-    ``fold_query``, outside the block code.
+    ``fold_query``, outside the run code.
     """
     documents = [build_document(f"d{i}", stems) for i, stems in enumerate(docs)]
     nodes = [parse_query(text) for text in texts]
@@ -193,9 +215,10 @@ def test_block_similarities_equal_one_pair_at_a_time(docs, texts, shape, k, kf, 
         (proxcore._term_profiles, term_profile, cfg.kernel),
         (rbfwin._rbf_term_profiles, rbf_term_profile, cfg),
     ):
-        got = proxcore._block_similarities(documents, nodes, profiles, settings_)
-        want = [[_alone(doc, node, profile, settings_) for node in nodes] for doc in documents]
-        assert [[v.hex() for v in row] for row in got] == [[v.hex() for v in row] for row in want]
+        for node in nodes:
+            got = proxcore._similarities(documents, node, profiles, settings_)
+            want = [_alone(doc, node, profile, settings_) for doc in documents]
+            assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
 def _alone(doc, node, profile, settings_) -> float:
@@ -208,14 +231,13 @@ def _alone(doc, node, profile, settings_) -> float:
 @pytest.mark.parametrize("config", CONFIGS, ids=[c[0] for c in CONFIGS])
 @pytest.mark.parametrize("mode", MODES)
 def test_small_batches_and_rows_give_the_same_floats(monkeypatch, config, mode):
-    """One leaf per batch, so that a leaf two categories share is profiled twice, and short rows."""
+    """A leaf two categories share, profiled once for each, and rows split short."""
     _, shape, k, kf, threshold, clamp, _ = config
     cfg = RbfConfig(InfluenceKernel(shape, k), kf, threshold, clamp)
     docs = list(_corpus())
     shared = [*CATEGORIES, CategoryModel("delta", frozenset({"a", "c"}), {"g": "c"})]
     alone = [classify(doc, shared, cfg, mode) for doc in docs]
     monkeypatch.setattr(classify_module, "BLOCK_POSITIONS", 10**9)
-    monkeypatch.setattr(proxcore, "_BATCH_VALUES", 1)
     monkeypatch.setattr(rbfwin, "_ROW_DIGITS", 2 * kf + 3)
     assert _hex(classify_documents(docs, shared, cfg, mode)) == _hex(alone)
 
@@ -242,7 +264,7 @@ def test_sparse_rows_copy_their_windows_out(monkeypatch):
 
 @pytest.mark.parametrize("mode", MODES)
 def test_memory_does_not_grow_with_leaves(mode):
-    """A long document's block profiles its leaves in batches of bounded size."""
+    """A long document's fold holds a few rows at a time, whatever its number of leaves."""
     rng = random.Random(8)
     vocabulary = [f"w{i}" for i in range(240)]
     doc = build_document("long", [rng.choice(vocabulary) for _ in range(20_000)])

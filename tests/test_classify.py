@@ -322,6 +322,8 @@ class TestMetrics:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape"):
             metrics_from_confusion(["x"], [[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="need at least one category"):
+            metrics_from_confusion([], [])
 
     def test_records_format(self):
         report = metrics_from_confusion(["x"], [[3]])
