@@ -6,7 +6,14 @@ term spreads influence to nearby positions through a bounded kernel.  Queries
 into a length-normalized similarity.  An optional sliding-window RBF boost
 folds the relevance of a position's semantic neighborhood back into its own
 relevance before aggregation.
+
+The names from ``proxcore`` and ``rbfwin``, the two modules that import
+numpy, are resolved when first read (``_LAZY``, PEP 562), so importing the
+package, or running ``proxima index`` or ``proxima gen-synth``, loads
+neither.  ``from proxima import similarity`` works as before.
 """
+
+import importlib
 
 from .classify import (
     CategoryModel,
@@ -22,6 +29,7 @@ from .classify import (
     substitute_equivalents,
     uniform_synthetic_spec,
 )
+from .kernels import InfluenceKernel, RbfConfig
 from .posindex import (
     Corpus,
     CorpusFormatError,
@@ -31,29 +39,7 @@ from .posindex import (
     positions_of,
     save_corpus,
 )
-from .proxcore import (
-    InfluenceKernel,
-    eval_query_at,
-    local_relevance,
-    near_boolean,
-    near_doc_relevance,
-    query_profile,
-    score,
-    similarity,
-    term_profile,
-)
 from .querylang import And, Near, Or, QueryParseError, Term, parse_query, render_query
-from .rbfwin import (
-    RbfConfig,
-    WindowStats,
-    gaussian_rbf,
-    rbf_local_relevance,
-    rbf_similarity,
-    semantic_neighbors,
-    window_boost,
-    window_neighbor_relevances,
-    window_stats,
-)
 from .textprep import (
     LightStemmer,
     light_stem,
@@ -64,3 +50,27 @@ from .textprep import (
 )
 
 __version__ = "0.1.0"
+
+# public name -> the module it is read from on first use
+_LAZY = {
+    **dict.fromkeys(
+        ("eval_query_at", "local_relevance", "near_boolean", "near_doc_relevance",
+         "query_profile", "score", "similarity", "term_profile"),
+        "proxcore",
+    ),
+    **dict.fromkeys(
+        ("WindowStats", "gaussian_rbf", "rbf_local_relevance", "rbf_similarity",
+         "semantic_neighbors", "window_boost", "window_neighbor_relevances", "window_stats"),
+        "rbfwin",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted([*globals(), *_LAZY])

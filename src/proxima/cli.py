@@ -7,6 +7,12 @@ defaults, then an optional ``key = value`` config file, then ``--preset``,
 then individual flags, each layer overriding the previous one.
 
 Exit codes: 0 success, 1 I/O failure, 2 usage or content errors.
+
+This module imports nothing that needs numpy.  ``RunConfig`` checks the
+scoring settings with the scalar classes of ``kernels``, and ``classify``
+imports ``proxcore`` and ``rbfwin`` only where it scores, so ``index``,
+``gen-synth``, ``--help`` and every usage or settings error run without
+loading numpy.
 """
 
 from __future__ import annotations
@@ -27,10 +33,9 @@ from .classify import (
     rank_by_score,
     save_categories,
 )
+from .kernels import KERNEL_SHAPES, InfluenceKernel, RbfConfig
 from .posindex import Corpus, build_document, load_corpus, save_corpus
-from .proxcore import KERNEL_SHAPES, InfluenceKernel
 from .querylang import parse_query
-from .rbfwin import RbfConfig
 from .textprep import (
     LightStemmer,
     default_stemmer,
@@ -184,6 +189,8 @@ def cmd_query(args: argparse.Namespace, cfg: RunConfig) -> int:
                     queries.append((text, parse_query(text, stemmer)))
                 except ValueError as exc:
                     raise ValueError(f"{args.query_file}:{lineno}: {exc}") from exc
+        if not queries:
+            raise ValueError(f"{args.query_file}: no queries")
     rbf = cfg.rbf_config()
     docs = list(corpus)
     for number, (text, node) in enumerate(queries, start=1):

@@ -14,18 +14,20 @@ profiling each leaf in the documents that hold it as the fold reads it:
 ``similarity`` and ``query_profile`` fold a run of one document, and
 ``_similarities`` scores a run of many, as a classification pass or a
 ``proxima query`` does, with the same floats.
+
+The kernels themselves (``InfluenceKernel``, ``KERNEL_SHAPES``) are defined
+in ``kernels``, without numpy, and re-exported here.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from itertools import accumulate
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
+from .kernels import KERNEL_SHAPES, InfluenceKernel
 from .posindex import PositionalDocument, positions_of
 from .querylang import And, Or, QueryNode, check_width, query_plan
 
@@ -44,50 +46,8 @@ __all__ = [
     "similarity",
 ]
 
-KERNEL_SHAPES = ("triangular", "rectangular", "gaussian", "hanning")
-
 # a block of (document, stem) pairs to profile, laid end to end; each stem occurs in its document
 _Segments = list[tuple[PositionalDocument, "str | tuple[str, ...]"]]
-
-@dataclass(frozen=True)
-class InfluenceKernel:
-    """Symmetric influence function with bounded support (zero for |x| >= k).
-
-    All shapes peak at 1 for offset 0 and decay monotonically with distance;
-    the gaussian uses sigma = k/3 and is truncated to keep the support bounded.
-    """
-
-    shape: str = "triangular"
-    k: int = 5
-
-    def __post_init__(self):
-        if self.shape not in KERNEL_SHAPES:
-            raise ValueError(f"unknown kernel shape {self.shape!r}, expected one of {KERNEL_SHAPES}")
-        check_width(self.k, "kernel width")
-
-    def with_width(self, k: int) -> "InfluenceKernel":
-        return InfluenceKernel(self.shape, k)
-
-    def at(self, offset) -> float:
-        """Kernel value at one offset.
-
-        Scalar math is the single source of truth for kernel values: the
-        semantic-neighborhood filter downstream compares values that can sit
-        exactly on its band boundary, so every code path must produce
-        bit-identical numbers.
-        """
-        d = abs(float(offset))
-        k = float(self.k)
-        if self.shape == "triangular":
-            return max((k - d) / k, 0.0)
-        if d >= k:
-            return 0.0
-        if self.shape == "rectangular":
-            return 1.0
-        if self.shape == "hanning":
-            return 0.5 * (1.0 + math.cos(math.pi * d / k))
-        sigma = k / 3.0
-        return math.exp(-(d * d) / (2.0 * sigma * sigma))
 
 
 # kernel instances are rebuilt per document and per NEAR, so tables are keyed

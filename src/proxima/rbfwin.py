@@ -10,6 +10,8 @@ so downstream scoring keeps its [0, 1] range.
 
 A neighbor's value is its relevance with respect to the focal term's own
 occurrences, i.e. how deep inside the term's influence zone it sits.
+The window settings, ``RbfConfig``, are defined in ``kernels``, without
+numpy, and re-exported here.
 
 A window's boost depends only on its tuple of neighbor values and the band
 multiplier, and ``window_boost`` is the one function that sums it, for the
@@ -44,16 +46,16 @@ not profiled.  ``window_stats`` adds left to right, as the builtin
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain
 from operator import add
 
 import numpy as np
 
+from .kernels import RbfConfig
 from .posindex import PositionalDocument
 from .proxcore import (
-    InfluenceKernel,
     _fold,
     _occurs,
     _segment_digits,
@@ -98,31 +100,6 @@ _WINDOWS: dict[tuple, dict] = {}
 # its live windows' codes hold at most this many.  On the three benchmark
 # workloads, 2**13 and 2**16 score equally fast.
 _ROW_DIGITS = 1 << 13
-
-
-@dataclass(frozen=True)
-class RbfConfig:
-    """Window size, base kernel and thresholding for the RBF boost."""
-
-    kernel: InfluenceKernel
-    kf: int = 5
-    threshold_scale: float = 1.0
-    clamp_output: bool = True
-
-    def __post_init__(self):
-        if self.kf < 1:
-            raise ValueError(f"window size kf must be >= 1, got {self.kf}")
-        if not (math.isfinite(self.threshold_scale) and self.threshold_scale >= 0.0):
-            raise ValueError(f"threshold_scale must be finite and >= 0, got {self.threshold_scale}")
-
-    def with_width(self, k: int) -> "RbfConfig":
-        """This config with its kernel narrowed to width k, built once per (config, k)."""
-        return _narrowed(self, k)
-
-
-@lru_cache(maxsize=256)
-def _narrowed(cfg: RbfConfig, k: int) -> RbfConfig:
-    return replace(cfg, kernel=cfg.kernel.with_width(k))
 
 
 @dataclass(frozen=True)

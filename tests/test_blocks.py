@@ -160,12 +160,12 @@ def test_unknown_mode_raises_before_anything_is_scored(monkeypatch, mode):
     def refuse(*args):
         raise AssertionError("scored before the mode check")
 
+    # classify imports its profiles from these modules at call time, so
+    # patching them here is what it would call
     for module, name in (
         (proxcore, "has_terms"),
         (proxcore, "_term_profiles"),
         (rbfwin, "_rbf_term_profiles"),
-        (classify_module, "_term_profiles"),
-        (classify_module, "_rbf_term_profiles"),
     ):
         monkeypatch.setattr(module, name, refuse)
     corpus = _corpus()

@@ -155,6 +155,14 @@ class TestQuery:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {qfile}:2: column ")
 
+    @pytest.mark.parametrize("text", ["", "\n", "  \n\t\n\n"])
+    def test_query_file_without_queries_exits_2(self, capsys, tiny_corpus, tmp_path, text):
+        corpus = self._indexed(capsys, tiny_corpus)
+        qfile = tmp_path / "queries.txt"
+        qfile.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "query", str(corpus), "--query-file", str(qfile))
+        assert (code, out, err) == (2, "", f"error: {qfile}: no queries\n")
+
     def test_query_and_file_are_exclusive(self, capsys, tiny_corpus):
         corpus = self._indexed(capsys, tiny_corpus)
         code, _, err = run(capsys, "query", str(corpus))

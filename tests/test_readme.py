@@ -9,7 +9,7 @@ from pathlib import Path
 import proxima
 
 README = Path(__file__).resolve().parent.parent / "README.md"
-MODULES = ("textprep", "posindex", "querylang", "proxcore", "rbfwin", "classify", "cli")
+MODULES = ("textprep", "posindex", "querylang", "kernels", "proxcore", "rbfwin", "classify", "cli")
 
 
 def test_quickstart_prints_its_two_similarities():
@@ -34,3 +34,17 @@ def test_every_public_name_resolves():
     for node in imports:
         public = importlib.import_module(f"proxima.{node.module}").__all__
         assert [a.name for a in node.names if a.name not in public] == [], node.module
+    # the names read on first use resolve to their modules' public names, and dir() lists them
+    assert proxima._LAZY
+    for name, module_name in proxima._LAZY.items():
+        module = importlib.import_module(f"proxima.{module_name}")
+        assert name in module.__all__, name
+        assert getattr(proxima, name) is getattr(module, name), name
+    assert set(proxima._LAZY) <= set(dir(proxima))
+    # a package attribute that is not lazy still raises
+    assert not hasattr(proxima, "no_such_name")
+    # the function, not the submodule of the same name
+    assert proxima.classify is importlib.import_module("proxima.classify").classify
+    # the scoring modules re-export the kernel settings, not copies
+    assert importlib.import_module("proxima.proxcore").InfluenceKernel is proxima.InfluenceKernel
+    assert importlib.import_module("proxima.rbfwin").RbfConfig is proxima.RbfConfig
