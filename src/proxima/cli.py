@@ -165,7 +165,7 @@ def cmd_index(args: argparse.Namespace, cfg: RunConfig) -> int:
         return 1
     save_corpus(corpus, args.out)
     positions = sum(doc.n for doc in corpus)
-    distinct = len({stem for doc in corpus for stem in doc.inverted})
+    distinct = len(set().union(*(doc.inverted for doc in corpus)))
     print(
         f"indexed {len(corpus)} documents, {positions} term positions, "
         f"{distinct} distinct stems -> {args.out}"

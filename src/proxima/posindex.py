@@ -96,6 +96,7 @@ class CorpusFormatError(ValueError):
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write a corpus file; ``load_corpus`` restores it exactly."""
     lines = [CORPUS_HEADER]
+    storable: set[str] = set()  # the stems of the documents written so far
     for doc in corpus:
         check_field(doc.doc_id, "doc_id")
         if not doc.doc_id:
@@ -104,9 +105,11 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
         check_field(label, "label")
         if label == _UNLABELED and doc.doc_id in corpus.labels:
             raise ValueError(f"label {_UNLABELED!r} is reserved for unlabeled documents")
-        for stem in dict.fromkeys(doc.stems):  # each distinct stem once, in order
-            if not is_storable_stem(stem):
-                raise ValueError(f"stem {stem!r} in {doc.doc_id!r} is not storable")
+        fresh = set(doc.stems) - storable  # each distinct stem of the corpus is checked once
+        if not all(map(is_storable_stem, fresh)):
+            stem = next(stem for stem in doc.stems if not is_storable_stem(stem))
+            raise ValueError(f"stem {stem!r} in {doc.doc_id!r} is not storable")
+        storable |= fresh
         lines.append(f"{doc.doc_id}\t{label}\t{' '.join(doc.stems)}")
     write_text_atomic(path, "\n".join(lines) + "\n")
 

@@ -1,4 +1,4 @@
-"""Text preparation: character folding, tokenization, stop words, light stemming.
+r"""Text preparation: character folding, tokenization, stop words, light stemming.
 
 The pipeline turns raw text into a position-indexed sequence of stems:
 
@@ -6,6 +6,29 @@ The pipeline turns raw text into a position-indexed sequence of stems:
 
 Positions are assigned after filtering, so proximity distances downstream
 count content terms only.
+
+Every step runs in C over a whole text or a whole token list; Python runs
+once per text, and once per distinct token a stemmer has not seen.  Each
+fast form gives the same strings as the plain one (``tests/_reference.py``
+keeps the plain ones as oracles):
+
+- The fold is one ``str.replace`` per ``_FOLD_TABLE`` entry, not a
+  ``str.translate`` that looks each character up in a dict.  Every key is
+  one character and no replacement (ا, ي, ه or "") holds a key, so no
+  replace makes or removes a match of another, and their order is free.
+  Text with no folded character, such as most query and category words
+  once folded, is returned after one ``isascii`` or one regex search.
+- Words are the runs of ``\w`` once each "_" reads as a space, which are
+  the runs of ``[^\W_]``: "_" is the one word character that class leaves
+  out, and a space is no word character.  ``str.isdecimal`` is true for
+  exactly the tokens ``\d+`` matches whole: both test each character for
+  the Unicode category Nd.
+- Stop words and stop stems are dropped by ``filterfalse`` over the set's
+  ``__contains__``, the same membership test a comprehension makes.
+- A stemmer's memo is a dict whose ``__missing__`` strips a new token, so
+  ``map`` over its ``__getitem__`` stems the tokens it has seen without a
+  Python call.  The stems of a frozen stop list are made once per stemmer;
+  a mutable ``set`` may change between calls, so it is stemmed each call.
 """
 
 from __future__ import annotations
@@ -14,6 +37,7 @@ import codecs
 import re
 from dataclasses import MISSING, fields
 from importlib import resources
+from itertools import filterfalse
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -60,9 +84,14 @@ _FOLD_TABLE: dict[int, str | None] = {
     0x0652: None,   # sukun
 }
 
-# Word = run of letters/digits; underscore counts as punctuation.
-_TOKEN_RE = re.compile(r"[^\W_]+")
-_DIGITS_RE = re.compile(r"\d+")
+# The fold as chained str.replace calls, one per entry of _FOLD_TABLE.
+_FOLDS = tuple((chr(code), new or "") for code, new in _FOLD_TABLE.items())
+# Text holding none of the folded characters folds to itself.
+_find_folded = re.compile("[" + re.escape("".join(map(chr, _FOLD_TABLE))) + "]").search
+
+# Word = run of letters/digits; underscore counts as punctuation, so
+# tokenize reads each "_" as a space.
+_find_words = re.compile(r"\w+").findall
 # A lone surrogate is a str character that UTF-8 cannot encode.
 _find_surrogate = re.compile("[\ud800-\udfff]").search
 
@@ -72,17 +101,21 @@ _MIN_STEM = 2
 
 def normalize_text(text: str) -> str:
     """Fold Arabic letter variants and drop diacritics; idempotent."""
-    return text.translate(_FOLD_TABLE)
+    if text.isascii() or _find_folded(text) is None:
+        return text
+    for old, new in _FOLDS:
+        text = text.replace(old, new)
+    return text
 
 
 def tokenize(text: str) -> list[str]:
     """Split normalized text on whitespace/punctuation, dropping digit-only tokens."""
-    return [t for t in _TOKEN_RE.findall(text) if not _DIGITS_RE.fullmatch(t)]
+    return list(filterfalse(str.isdecimal, _find_words(text.replace("_", " "))))
 
 
 def remove_stopwords(tokens: Iterable[str], stoplist: frozenset[str] | set[str]) -> list[str]:
     """Drop tokens found in ``stoplist``, preserving the order of survivors."""
-    return [t for t in tokens if t not in stoplist]
+    return list(filterfalse(stoplist.__contains__, tokens))
 
 
 class LightStemmer:
@@ -98,14 +131,21 @@ class LightStemmer:
     def __init__(self, prefixes: Iterable[str], suffixes: Iterable[str]):
         self.prefixes = tuple(prefixes)
         self.suffixes = tuple(suffixes)
-        self._cache: dict[str, str] = {}
+        self._memo = _StemMemo(self._strip)
+        self._frozen_stop_stems: dict[frozenset[str], frozenset[str]] = {}
 
     def __call__(self, token: str) -> str:
-        stem = self._cache.get(token)
-        if stem is None:
-            stem = self._strip(token)
-            self._cache[token] = stem
-        return stem
+        return self._memo[token]
+
+    def _stop_stems(self, stoplist: frozenset[str] | set[str]) -> frozenset[str]:
+        """The stems of the entries of ``stoplist``, made once per frozen stop list."""
+        if not isinstance(stoplist, frozenset):
+            return frozenset(map(self._memo.__getitem__, stoplist))
+        stems = self._frozen_stop_stems.get(stoplist)
+        if stems is None:
+            stems = frozenset(map(self._memo.__getitem__, stoplist))
+            self._frozen_stop_stems[stoplist] = stems
+        return stems
 
     def _strip(self, token: str) -> str:
         stem = token
@@ -119,6 +159,18 @@ class LightStemmer:
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"LightStemmer({len(self.prefixes)} prefixes, {len(self.suffixes)} suffixes)"
+
+
+class _StemMemo(dict):
+    """Token -> stem; a token seen for the first time is stripped on lookup."""
+
+    def __init__(self, strip: Callable[[str], str]):
+        super().__init__()
+        self.strip = strip
+
+    def __missing__(self, token: str) -> str:
+        stem = self[token] = self.strip(token)
+        return stem
 
 
 def light_stem(token: str, stemmer: LightStemmer | None = None) -> str:
@@ -158,9 +210,9 @@ def preprocess(
         stoplist = default_stoplist()
     if stemmer is None:
         stemmer = default_stemmer()
-    tokens = remove_stopwords(tokenize(normalize_text(text)), stoplist)
-    stop_stems = {stemmer(w) for w in stoplist}
-    return tuple(s for s in (stemmer(t) for t in tokens) if s not in stop_stems)
+    words = remove_stopwords(tokenize(normalize_text(text)), stoplist)
+    stems = map(stemmer._memo.__getitem__, words)
+    return tuple(filterfalse(stemmer._stop_stems(stoplist).__contains__, stems))
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,34 @@
 Everything here is straight-line loop code over plain stem lists, written
 independently of the library's engine: kernels are recomputed from their
 formulas, maxima run over full occurrence sets, and window statistics are
-recomputed per position.  Only the query AST dataclasses are shared, as
-pure data.
+recomputed per position.  Only the query AST dataclasses and the Arabic
+fold table are shared, as pure data.
 """
 
 from __future__ import annotations
 
 import math
+import re
 
 from proxima.querylang import And, Near, Or, Term
+from proxima.textprep import _FOLD_TABLE
+
+
+def fold(text: str) -> str:
+    """The character fold as one dict lookup per character."""
+    return text.translate(_FOLD_TABLE)
+
+
+def tokenize(text: str) -> list[str]:
+    """Runs of letters and digits, "_" a separator, minus the runs of digits only."""
+    return [t for t in re.findall(r"[^\W_]+", text) if not re.fullmatch(r"\d+", t)]
+
+
+def preprocess(text: str, stoplist, strip) -> tuple[str, ...]:
+    """Fold, tokenize, drop stop words, stem each token with ``strip``, drop stemmed stop words."""
+    tokens = [t for t in tokenize(fold(text)) if t not in stoplist]
+    stop_stems = {strip(w) for w in stoplist}
+    return tuple(s for s in (strip(t) for t in tokens) if s not in stop_stems)
 
 
 def kernel_value(shape: str, k: int, offset: int) -> float:

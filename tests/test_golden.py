@@ -9,6 +9,9 @@ The CLI prints scores to 6 decimals, so a last-bit change would not show in
 its stdout.  The float-level digests pin ``float.hex`` of the library's rbf
 ``classify`` scores and of every ``rbf_term_profile`` value on the same
 corpus under the same four settings.
+
+The index digest pins the corpus file `proxima index` writes for a fixed set
+of raw Arabic texts, so the text preparation it runs stays byte-identical.
 """
 
 import contextlib
@@ -22,6 +25,7 @@ from proxima.cli import build_parser, main, resolve_config
 from proxima.posindex import load_corpus
 from proxima.querylang import parse_query, query_plan
 from proxima.rbfwin import rbf_term_profile
+from proxima.textprep import _FOLD_TABLE
 
 SPEC = (
     "docs_per_category = 15\n"
@@ -191,3 +195,45 @@ def test_floats_match_golden_digest(floats, key):
 
 def test_every_float_output_is_pinned(floats):
     assert sorted(floats) == sorted(FLOAT_DIGESTS)
+
+
+# Raw Arabic text through `proxima index`: every folded character, digits of
+# several scripts, digits inside words, underscores and stop words under
+# affixes.  The digest was recorded before the fold, the digit filter and the
+# stemming loop of textprep took their fast forms.
+INDEX_TEXTS = {
+    "fold": (
+        "آمن أحمد إلى مدرسة كـــتاب كَتَبَ مُحَمَّدٌ كتابًا بيتٍ مِنْ هدىً\n"
+        "الإمارات الأسواق المالية والمدرسة بمدرستها فالقرآن عــلـى\r\n"
+        "Engine ENGINE engines"
+    ),
+    "digits": "عام ٢٠٢٤ و 2024 و ۱۹۹۹ و ४२ و ３ و 𝟘𝟙 صفحة ² ½ Ⅷ ٣٫٥ 3.5",
+    "mixed": "عام٢٠٢٤ ab12 12ب ٣كتب x² والكتاب٢ ١٢_٣٤ ق٣ ٣٣٣س",
+    "underscore": "«الكتاب_الجديد» _ __ a_b_ج _بيت_ المدرسة_ ۱_۲",
+    "stops": "وفي والذي فالتي بالذي لكنها وقد الذي كتابهم وإلى فإن ولكن هذا هذه بالتي الكتاب",
+    "stops-only": "في ١٢ من _ على ... 42 إلى",
+}
+INDEX_MANIFEST = "fold.txt\tfolding\ndigits\tnumbers\nstops.txt\tfunction\n"
+INDEX_DIGEST = "8d7e546deea2b85765253877a80de1b9354b9518f46bbb04d7ee5581b4ca9191"
+
+
+def index_output(root) -> bytes:
+    """The corpus file `proxima index` writes for ``INDEX_TEXTS`` under directory ``root``."""
+    docs = root / "docs"
+    docs.mkdir()
+    for name, text in INDEX_TEXTS.items():
+        (docs / f"{name}.txt").write_text(text, encoding="utf-8")
+    manifest, out = root / "manifest.tsv", root / "corpus.tsv"
+    manifest.write_text(INDEX_MANIFEST, encoding="utf-8")
+    _stdout(["index", str(docs), "--out", str(out), "--manifest", str(manifest)])
+    return out.read_bytes()
+
+
+def test_index_fixture_covers_every_folded_character_and_digit_script():
+    text = "".join(INDEX_TEXTS.values())
+    assert [hex(c) for c in _FOLD_TABLE if chr(c) not in text] == []
+    assert {"٢", "۱", "४", "３", "𝟘", "2"} <= set(text)
+
+
+def test_index_output_matches_golden_digest(tmp_path):
+    assert hashlib.sha256(index_output(tmp_path)).hexdigest() == INDEX_DIGEST

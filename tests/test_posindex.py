@@ -176,6 +176,30 @@ class TestPersistence:
         with pytest.raises(ValueError, match="reserved"):
             save_corpus(corpus, tmp_path / "c.tsv")
 
+    @pytest.mark.parametrize(
+        "docs, message",
+        [
+            # a bad stem in a document before the bad doc_id is named first
+            ([("d1", ["a", "b c", "\ud800"]), ("d\t2", ["e f"]), ("d3", ["g h"])], "stem 'b c' in 'd1'"),
+            # in the bad document itself, the doc_id check comes before its stems
+            ([("d1", ["a"]), ("d\t2", ["b c"]), ("d3", ["e f"])], "doc_id 'd\\t2'"),
+            # bad stems only after the bad doc_id
+            ([("d1", ["a"]), ("d\t2", ["a"]), ("d3", ["b c"])], "doc_id 'd\\t2'"),
+            # a stem already seen storable does not hide the first bad one that follows it
+            ([("d1", ["a", "b"]), ("d2", ["b", "\ud800", "a", "c d", "\ud800"])], "stem '\\ud800' in 'd2'"),
+            # nor does a bad stem met again in a later document
+            ([("d1", ["a"]), ("d2", ["a", "", "b c"]), ("d3", ["b c"])], "stem '' in 'd2'"),
+        ],
+    )
+    def test_first_bad_field_is_named(self, tmp_path, docs, message):
+        corpus = Corpus()
+        for doc_id, stems in docs:
+            corpus.add(build_document(doc_id, stems))
+        with pytest.raises(ValueError) as raised:
+            save_corpus(corpus, tmp_path / "c.tsv")
+        assert str(raised.value).startswith(message)
+        assert list(tmp_path.iterdir()) == []
+
     @given(st.lists(stems_lists, max_size=6))
     def test_round_trip_arbitrary_small_corpora(self, docs):
         import tempfile

@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import inspect
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -10,6 +11,19 @@ import proxima
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 MODULES = ("textprep", "posindex", "querylang", "kernels", "proxcore", "rbfwin", "classify", "cli")
+# every name the package exports, the ones read on first use included
+PUBLIC = (
+    "And", "CategoryModel", "Corpus", "CorpusFormatError", "EvalReport", "InfluenceKernel",
+    "LightStemmer", "Near", "Or", "PositionalDocument", "QueryParseError", "RbfConfig",
+    "SyntheticSpec", "Term", "WindowStats", "build_document", "category_query", "classify",
+    "eval_query_at", "evaluate", "gaussian_rbf", "generate_synthetic_corpus", "light_stem",
+    "load_categories", "load_corpus", "local_relevance", "metrics_from_confusion",
+    "near_boolean", "near_doc_relevance", "normalize_text", "parse_query", "positions_of",
+    "preprocess", "query_profile", "rbf_local_relevance", "rbf_similarity", "remove_stopwords",
+    "render_query", "save_categories", "save_corpus", "score", "semantic_neighbors",
+    "similarity", "substitute_equivalents", "term_profile", "tokenize", "uniform_synthetic_spec",
+    "window_boost", "window_neighbor_relevances", "window_stats",
+)
 
 
 def test_quickstart_prints_its_two_similarities():
@@ -48,3 +62,12 @@ def test_every_public_name_resolves():
     # the scoring modules re-export the kernel settings, not copies
     assert importlib.import_module("proxima.proxcore").InfluenceKernel is proxima.InfluenceKernel
     assert importlib.import_module("proxima.rbfwin").RbfConfig is proxima.RbfConfig
+
+
+def test_the_package_exports_its_listed_names():
+    assert [name for name in PUBLIC if not hasattr(proxima, name)] == []
+    exported = {
+        name for name in dir(proxima)
+        if not name.startswith("_") and not inspect.ismodule(getattr(proxima, name))
+    }
+    assert sorted(exported) == sorted(PUBLIC)

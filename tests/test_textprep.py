@@ -1,9 +1,14 @@
 """Preprocessing pipeline tests: folding, tokenization, stop words, stemming."""
 
+import re
+import sys
+
 import hypothesis.strategies as st
 from hypothesis import given
 
+import _reference as ref
 from proxima.textprep import (
+    _FOLD_TABLE,
     LightStemmer,
     default_stemmer,
     default_stoplist,
@@ -181,3 +186,68 @@ class TestDataFiles:
         path.write_text(f"PREFIXES\nال\nSUFFIXES\n{affix}\n", encoding="utf-8")
         with pytest.raises(ValueError, match=f"rules.txt:4: affix {affix!r} normalizes to nothing"):
             load_stemmer_rules(path)
+
+
+EVERY_CODE_POINT = "".join(map(chr, range(sys.maxunicode + 1)))
+FOLDED = "".join(map(chr, _FOLD_TABLE)) + "اىه"
+# raw press text in small pieces: words under affixes, stop words, digits of
+# several scripts, separators
+PIECES = st.sampled_from(
+    ["في", "والذي", "الكتاب", "وفي", "بالمدرسة", "كتابات", "هم", "الهم", "أحمد", "إلى",
+     "٢٠٢٤", "42", "۱۹", "४", "x²", "ab12", "_", " ", "\n", "،", ".", "«", "ـ", "\u064e", "\u0651"]
+)
+TEXTS = st.lists(PIECES | st.text(max_size=3), max_size=40).map("".join)
+CUSTOM = LightStemmer(["و", "ال", "x"], ["ه", "ات", "2"])
+
+
+class TestFastFormsMatchOracles:
+    """normalize_text, tokenize and preprocess give the plain forms' strings."""
+
+    def test_fold_on_every_code_point(self):
+        assert normalize_text(EVERY_CODE_POINT) == ref.fold(EVERY_CODE_POINT)
+
+    @pytest.mark.parametrize("char", FOLDED)
+    def test_fold_of_each_folded_character(self, char):
+        for text in (char, "abc" + char, "كتاب" + char + "x", char * 3):
+            assert normalize_text(text) == ref.fold(text)
+
+    def test_no_replacement_is_itself_folded(self):
+        assert not {ord(c) for new in _FOLD_TABLE.values() if new for c in new} & set(_FOLD_TABLE)
+
+    @given(st.text(alphabet=st.sampled_from(FOLDED) | st.characters(), max_size=60))
+    def test_fold_on_text(self, text):
+        assert normalize_text(text) == ref.fold(text)
+
+    def test_decimal_is_the_digit_class_on_every_code_point(self):
+        decimal = set(filter(str.isdecimal, EVERY_CODE_POINT))
+        assert decimal == set(re.findall(r"\d", EVERY_CODE_POINT))
+        assert len(decimal) > 600  # every script's digits, not only ASCII and Arabic-Indic
+
+    def test_tokenize_on_every_code_point(self):
+        for text in (EVERY_CODE_POINT, " ".join(EVERY_CODE_POINT), "_".join(EVERY_CODE_POINT)):
+            assert tokenize(text) == ref.tokenize(text)
+
+    @given(TEXTS)
+    def test_tokenize_on_text(self, text):
+        assert tokenize(text) == ref.tokenize(text)
+
+    @pytest.mark.parametrize("frozen", [True, False], ids=["frozenset", "set"])
+    @pytest.mark.parametrize("stemmer", [default_stemmer(), CUSTOM], ids=["default", "custom"])
+    @given(text=TEXTS)
+    def test_preprocess_on_text(self, stemmer, frozen, text):
+        stops = {"في", "والذي", "هم", "ab12", "x²"} | default_stoplist()
+        stoplist = frozenset(stops) if frozen else set(stops)
+        assert preprocess(text, stoplist, stemmer) == ref.preprocess(text, stoplist, stemmer._strip)
+
+    def test_a_set_stop_list_is_read_at_each_call(self):
+        stemmer = LightStemmer(["ال"], [])
+        stoplist = {"في"}
+        assert preprocess("الكتاب في البيت", stoplist, stemmer) == ("كتاب", "بيت")
+        stoplist.add("بيت")  # its stem, not the surface word, is a stop stem
+        assert preprocess("الكتاب في البيت", stoplist, stemmer) == ("كتاب",)
+
+    def test_frozen_stop_lists_keep_their_own_stems(self):
+        stemmer = LightStemmer(["ال"], [])
+        assert preprocess("الكتاب البيت", frozenset({"الكتاب"}), stemmer) == ("بيت",)
+        assert preprocess("الكتاب البيت", frozenset({"بيت"}), stemmer) == ("كتاب",)
+        assert preprocess("الكتاب البيت", frozenset({"الكتاب"}), stemmer) == ("بيت",)
