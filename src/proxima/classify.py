@@ -61,7 +61,6 @@ __all__ = [
     "MODES",
     "category_query",
     "substitute_equivalents",
-    "mode_similarity",
     "mode_similarities",
     "classify",
     "classify_documents",
@@ -203,12 +202,6 @@ def _scoring_module(name: str):
     return importlib.import_module(f"{__package__}.{name}")
 
 
-def mode_similarity(doc: PositionalDocument, node: QueryNode, cfg: RbfConfig, mode: str) -> float:
-    """``similarity`` (config's kernel) in standard mode, ``rbf_similarity`` in rbf mode."""
-    score, _, settings = _mode_scorers(cfg, mode)
-    return score(doc, node, settings)
-
-
 def classify(
     doc: PositionalDocument,
     categories: Sequence[CategoryModel],
@@ -256,7 +249,10 @@ def classify_documents(
 def mode_similarities(
     docs: Iterable[PositionalDocument], node: QueryNode, cfg: RbfConfig, mode: str
 ) -> list[float]:
-    """``mode_similarity`` of each document, scored in runs of at most ``BLOCK_POSITIONS`` positions."""
+    """The mode's similarity of each document, scored in runs of at most ``BLOCK_POSITIONS`` positions.
+
+    That is ``similarity`` in standard mode and ``rbf_similarity`` in rbf mode.
+    """
     _, profiles, settings = _mode_scorers(cfg, mode)
     similarities = _scoring_module("proxcore")._similarities
     return [value for block in _blocks(docs) for value in similarities(block, node, profiles, settings)]

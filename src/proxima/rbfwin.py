@@ -22,34 +22,38 @@ the documents of a run that hold it (``proxcore._fold``), or the one
 segment of ``rbf_term_profile``.  Each segment's digits come from one shared
 ``searchsorted`` (``proxcore._segment_digits``): a position's digit is its
 distance to the nearest occurrence in its own segment, clipped to top =
-min(k, longest segment), an index into the kernel's table of values.  One
-more digit, top + 1, means "outside the segment".  The segments are
-written into rows of digits with kf' outside digits before, between and
-after them (kf' = min(kf, longest)), so no window reaches across a segment
-edge; a row holds about ``_ROW_DIGITS`` digits, or one longer segment.
-Each window's 2*kf' digits in radix top + 2 fill as many int64 words as
-they need: its code, an int for one word and a tuple of ints for more.
-Documents repeat the same few windows over and over, so each code's boost
-is memoised per window geometry (kernel shape, k, radix, kf', multiplier)
-in a process-wide dict, which is cleared when it reaches a fixed size.
-The memo is exact: a code fixes its window of table values, a code
-missing from the memo is decoded to exactly the tuple the scalar path
-builds and summed by the same ``window_boost``, and the same tuple always
-gives the same float.  So memoised and fresh boosts are bit-identical, and
-values on the band edge cannot flip, whatever block or row a window is
-scored in.  An all-zero window's boost is exactly 0.0, so such windows are
-not looked up at all, and a document whose query fails ``has_terms`` is
-not profiled.  ``window_stats`` adds left to right, as the builtin
-``sum()`` does only before Python 3.12.
+min(k, longest segment), an index into the kernel's table of values.
+Digit d always stands for ``at(d)``, whatever the run.  The digits are
+stored in the smallest unsigned dtype that holds top + 1 (uint8 for every
+k below 255), and that dtype's largest value, never a table index, means
+"outside the segment".  The segments are written into rows of digits with
+kf' outside digits before, between and after them (kf' = min(kf,
+longest)), so no window reaches across a segment edge; a row holds about
+``_ROW_DIGITS`` digits, or one longer segment.  A window's key is the bytes
+of its 2*kf' + 1 digits, its centre set to the outside digit.  Documents
+repeat the same few windows over and over, so each key's boost is memoised
+per window geometry (kernel shape, k, digit dtype, multiplier) in a
+process-wide dict, which is cleared when it reaches a fixed size.  The memo
+is exact: a key is its window's digits, so it fixes the window's table
+values, and its length fixes the window's width.  A key missing from the
+memo is read back digit by digit, the outside digits are dropped, and the
+rest give exactly the tuple the scalar path builds, summed by the same
+``window_boost``; the same tuple always gives the same float.  So memoised
+and fresh boosts are bit-identical, and values on the band edge cannot
+flip, whatever block or row a window is scored in.  An all-zero window's
+boost is exactly 0.0, so such windows are not looked up at all, and a
+document whose query fails ``has_terms`` is not profiled.
+``window_stats`` adds left to right, as the builtin ``sum()`` does only
+before Python 3.12.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import chain
-from operator import add
+from operator import add, itemgetter
 
 import numpy as np
 
@@ -83,22 +87,22 @@ __all__ = [
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-# The window memo holds at most this many codes, over all geometries; it is
+# The window memo holds at most this many keys, over all geometries; it is
 # cleared when a lookup would take it past that.  That is more than the
-# distinct windows of any benchmark workload (about 2,250 at most).  A
-# one-word entry is an int and a float.  A kf=200 window at k=5 takes 19
-# words, so a full memo of those is about 4 MB.
+# distinct windows of any benchmark workload (about 2,250 at most).  An
+# entry is a bytes key and a float.  A kf=200 key is 401 bytes, a 434-byte
+# object, so a full memo of those is about 1.9 MB; past a table of 255
+# values its digits take two bytes and the memo about 3.5 MB.
 _WINDOW_CACHE_SIZE = 4096
 
-# window geometry (kernel shape, k, radix, kf', threshold_scale) -> code -> boost
+# window geometry (kernel shape, k, digit dtype, threshold_scale) -> key -> boost
 _WINDOWS: dict[tuple, dict] = {}
 
 # A row of digits holds segments of about this many digits in all (or one
 # longer segment), so the kf "outside" digits between short segments cannot
-# make it long, and its windows are copied out for coding this many digits
-# at a time.  Either way a row's arrays stay small, and the Python lists of
-# its live windows' codes hold at most this many.  On the three benchmark
-# workloads, 2**13 and 2**16 score equally fast.
+# make it long.  A row's arrays stay small, and so does the list of its
+# live windows' keys.  On the three benchmark workloads, 2**13 and 2**16
+# score equally fast.
 _ROW_DIGITS = 1 << 13
 
 
@@ -192,7 +196,7 @@ def _rbf_term_profiles(segments: _Segments, cfg: RbfConfig) -> np.ndarray:
 
     Every stem must occur in its document.  The segments share one
     ``searchsorted`` for their distance digits (``_segment_digits``); their
-    windows are coded in rows of about ``_ROW_DIGITS`` digits
+    windows are keyed in rows of about ``_ROW_DIGITS`` digits
     (``_row_boosts``), usually one, and looked up in the window memo.
     """
     digits, table, lengths = _segment_digits(segments, cfg.kernel)
@@ -200,7 +204,7 @@ def _rbf_term_profiles(segments: _Segments, cfg: RbfConfig) -> np.ndarray:
     # every window is clipped to its segment, so any kf >= n gives the same
     # windows; capping it keeps the index sums inside int64
     kf = min(cfg.kf, max(lengths))
-    geometry = (cfg.kernel.shape, cfg.kernel.k, len(table) + 1, kf, cfg.threshold_scale)
+    geometry = (cfg.kernel.shape, cfg.kernel.k, np.min_scalar_type(len(table)), cfg.threshold_scale)
     boosts = np.zeros(len(digits), dtype=np.float64)
     first = at = 0
     while first < len(lengths):
@@ -210,14 +214,14 @@ def _rbf_term_profiles(segments: _Segments, cfg: RbfConfig) -> np.ndarray:
             size += lengths[last]
             last += 1
         row = slice(at, at + size)
-        _row_boosts(digits[row], base[row], lengths[first:last], geometry, table, boosts[row])
+        _row_boosts(digits[row], base[row], lengths[first:last], kf, geometry, table, boosts[row])
         first, at = last, at + size
     # elementwise float64 addition and min round exactly like the scalar forms
     raw = np.add(base, boosts, out=boosts)
     return np.minimum(raw, 1.0, out=raw) if cfg.clamp_output else raw
 
 
-def _row_boosts(digits, base, lengths, geometry: tuple, table: np.ndarray, out: np.ndarray) -> None:
+def _row_boosts(digits, base, lengths, kf: int, geometry: tuple, table: np.ndarray, out: np.ndarray) -> None:
     """Write the window boost of each of some segments' positions into ``out`` (zeros).
 
     The segments' digits go into one row with kf "outside" digits before,
@@ -226,7 +230,8 @@ def _row_boosts(digits, base, lengths, geometry: tuple, table: np.ndarray, out: 
     of exactly 0.0, so only the windows holding a nonzero value besides
     their centre's are looked up; the others keep their 0.0.
     """
-    radix, kf = geometry[2], geometry[3]
+    dtype = geometry[2]
+    outside = (1 << 8 * dtype.itemsize) - 1  # the dtype's largest value
     # ``real`` picks the segments' positions out of the row, and ``centres``
     # the windows around them.  A lone segment, as when one document is
     # scored, is one slice of the row and its windows are all the row's, so
@@ -239,7 +244,7 @@ def _row_boosts(digits, base, lengths, geometry: tuple, table: np.ndarray, out: 
         real[1::2] = True
         real = real.repeat([kf, *chain.from_iterable((n, kf) for n in lengths)])
         centres = np.flatnonzero(real[kf:-kf])
-    padded = np.full(len(digits) + (len(lengths) + 1) * kf, radix - 1, dtype=np.int64)
+    padded = np.full(len(digits) + (len(lengths) + 1) * kf, outside, dtype=dtype)
     padded[real] = digits
     nonzero = np.zeros(len(padded), dtype=bool)
     nonzero[real] = base != 0.0
@@ -251,10 +256,15 @@ def _row_boosts(digits, base, lengths, geometry: tuple, table: np.ndarray, out: 
     holds = seen[2 * kf + 1 :] - seen[:count] > nonzero[kf : kf + count]
     del nonzero, seen
     live = np.flatnonzero(holds if lone else holds[centres])
-    wanted = live if lone else centres[live]
-    words = [word.tolist() for word in _window_codes(padded, kf, radix, wanted)]
-    codes = words[0] if len(words) == 1 else list(zip(*words))
-    out[live] = _window_boosts(codes, geometry, table)
+    # windows[w] is padded[w : w + 2kf + 1], as a read-only view; the wanted
+    # ones are copied out, their centres masked, and each row's bytes are its key
+    width = 2 * kf + 1
+    windows = np.ndarray((count, width), dtype, padded, strides=padded.strides * 2)
+    windows.flags.writeable = False
+    keys = windows[live if lone else centres[live]]
+    keys[:, kf] = outside
+    keys = keys.view(f"V{width * keys.itemsize}").ravel().tolist()
+    out[live] = _window_boosts(keys, geometry, table)
 
 
 def rbf_term_profile(doc: PositionalDocument, term: str, cfg: RbfConfig) -> np.ndarray:
@@ -264,97 +274,36 @@ def rbf_term_profile(doc: PositionalDocument, term: str, cfg: RbfConfig) -> np.n
     return _rbf_term_profiles([(doc, term)], cfg)
 
 
-@lru_cache(maxsize=64)
-def _window_layout(radix: int, kf: int) -> tuple[int, list[tuple[int, int, np.ndarray]]]:
-    """Digits per word, and each word's columns of the window matrix with their weights.
+def _window_boosts(keys: list[bytes], geometry: tuple, table: np.ndarray):
+    """``window_boost`` of each key's window, from the memo.
 
-    A word holds as many digits as keep radix**digits - 1, its largest
-    value, inside int64.  Column j of the window matrix is position
-    x - kf + j; column kf is x itself and weighs 0.
+    A key missing from the memo is read back as its digits, and its
+    neighbours' table values, outside digits dropped, are exactly the tuple
+    the scalar path builds; ``window_boost`` sums it, so a memoised boost is
+    the same float as a fresh one.  The memo is cleared whenever adding
+    this call's new keys would take it past its cap.
     """
-    per_word = 1
-    while radix ** (per_word + 1) <= 2**63:
-        per_word += 1
-    columns = [j for j in range(2 * kf + 1) if j != kf]
-    words = []
-    for first in range(0, 2 * kf, per_word):
-        used = columns[first : first + per_word]
-        weights = [0] * (used[-1] + 1 - used[0])
-        for power, column in enumerate(used):
-            weights[column - used[0]] = radix**power
-        words.append((used[0], used[-1] + 1, np.array(weights, dtype=np.int64)))
-    return per_word, words
-
-
-def _window_codes(padded: np.ndarray, kf: int, radix: int, wanted: np.ndarray) -> list[np.ndarray]:
-    """The code of the window ``padded[w : w + 2*kf + 1]`` of each w in ``wanted``, one int64 array per word.
-
-    A window's code is its 2*kf neighbours' digits in base ``radix``, the
-    first neighbour lowest: a neighbour's digit is its clipped distance (an
-    index into the kernel table), or radix - 1 where it falls outside its
-    segment.  The digits fill as many int64 words as they need.  Equal
-    codes are equal windows of table values, so a code stands for its
-    window exactly.
-    """
-    words = _window_layout(radix, kf)[1]
-    width = 2 * kf + 1
-    # windows[w] is padded[w : w + width], as a read-only view
-    shape, strides = (len(padded) - width + 1, width), padded.strides * 2
-    windows = np.ndarray(shape, padded.dtype, padded, strides=strides)
-    windows.flags.writeable = False
-    if 16 * len(wanted) >= len(windows):
-        # Coding every window in place reads the view with no copy, one word
-        # at a time, and is the cheapest unless nearly all windows are
-        # unwanted: per call it took 19 us against 34 us copying out on
-        # index-arabic's documents, and 9 us against 13 us on rank-sparse's,
-        # where one window in nine is wanted.
-        return [(windows[:, first:last] @ weights)[wanted] for first, last, weights in words]
-    # Few windows are wanted, as in a row of many short segments between
-    # wide runs of outside digits: copy out only those, this many at a time,
-    # so a wide window costs no more memory than a narrow one.
-    step = max(1, _ROW_DIGITS // width)
-    codes = [np.empty(len(wanted), dtype=np.int64) for _ in words]
-    for start in range(0, len(wanted), step):
-        picked = windows[wanted[start : start + step]]
-        for code, (first, last, weights) in zip(codes, words):
-            np.matmul(picked[:, first:last], weights, out=code[start : start + step])
-    return codes
-
-
-def _window_values(code, geometry: tuple, table: list[float]) -> tuple[float, ...]:
-    """The window of table values that ``code`` stands for, as ``rbf_local_relevance`` builds it."""
-    _, _, radix, kf, _ = geometry
-    per_word = _window_layout(radix, kf)[0]
-    digits: list[int] = []
-    for word in (code,) if isinstance(code, int) else code:
-        for _ in range(min(per_word, 2 * kf - len(digits))):
-            word, digit = divmod(word, radix)
-            digits.append(digit)
-    return tuple(table[digit] for digit in digits if digit != radix - 1)
-
-
-def _window_boosts(codes: list, geometry: tuple, table: np.ndarray) -> list[float]:
-    """``window_boost`` of each code's window, from the memo.
-
-    A code missing from the memo is decoded to exactly the tuple of values
-    the scalar path builds and summed by ``window_boost``, so a memoised
-    boost is the same float as a fresh one.  The memo is cleared whenever
-    adding this call's new codes would take it past its cap.
-    """
+    if not keys:
+        return []
     memo = _WINDOWS.setdefault(geometry, {})
+    # one C loop over the keys; it gives a float for one key, a tuple for more
+    lookup = itemgetter(*keys)
     try:
-        return list(map(memo.__getitem__, codes))
+        return lookup(memo)
     except KeyError:
         pass
-    missing = set(codes).difference(memo)
+    missing = set(keys).difference(memo)
     if sum(map(len, _WINDOWS.values())) + len(missing) > _WINDOW_CACHE_SIZE:
         _WINDOWS.clear()
         memo = _WINDOWS[geometry] = {}
-        missing = set(codes)
+        missing = set(keys)
+    dtype, threshold_scale = geometry[2], geometry[3]
+    outside = (1 << 8 * dtype.itemsize) - 1
     values = table.tolist()
-    for code in missing:
-        memo[code] = window_boost(_window_values(code, geometry, values), geometry[-1])
-    return list(map(memo.__getitem__, codes))
+    for key in missing:
+        digits = memoryview(key).cast(dtype.char)
+        memo[key] = window_boost(tuple(values[d] for d in digits if d != outside), threshold_scale)
+    return lookup(memo)
 
 
 def rbf_eval_query_at(doc: PositionalDocument, node: QueryNode, x: int, cfg: RbfConfig) -> float:

@@ -3,11 +3,12 @@
 ``classify_documents`` (and through it ``evaluate`` and ``proxima classify``)
 and ``mode_similarities`` (``proxima query``) score documents in runs of at
 most ``classify.BLOCK_POSITIONS`` positions, each query folded over a run at
-once (``proxcore._similarities``), with rbf windows coded in rows of about
+once (``proxcore._similarities``), with rbf windows keyed in rows of about
 ``rbfwin._ROW_DIGITS`` digits.  Every score must be bit-identical to the
-one-document ``classify`` and ``mode_similarity``, which fold a run of one
-document, whatever the run and row sizes, so each check compares
-``float.hex``.
+one-document ``classify``, ``similarity`` and ``rbf_similarity``, which fold
+a run of one document, whatever the run and row sizes, so each check
+compares ``float.hex``.  A window's memo key is its own digits, so a window
+scored in a longer run finds the entry it left when scored alone.
 """
 
 import math
@@ -28,15 +29,14 @@ from proxima.classify import (
     classify_documents,
     evaluate,
     metrics_from_confusion,
-    mode_similarity,
     rank_by_score,
     save_categories,
 )
 from proxima.cli import main
 from proxima.posindex import Corpus, build_document, save_corpus
-from proxima.proxcore import KERNEL_SHAPES, InfluenceKernel, fold_query, has_terms, term_profile
+from proxima.proxcore import KERNEL_SHAPES, InfluenceKernel, fold_query, has_terms, similarity, term_profile
 from proxima.querylang import parse_query
-from proxima.rbfwin import RbfConfig, rbf_term_profile, window_stats
+from proxima.rbfwin import RbfConfig, rbf_similarity, rbf_term_profile, window_stats
 from proxima.textprep import default_stemmer
 
 # the package exports a function named classify, so fetch the module itself
@@ -73,7 +73,8 @@ CONFIGS = [
     ("small", "triangular", 2, 1, 1.0, True, ["--k", "2", "--kf", "1"]),
     # k and kf above every document's length
     ("k-kf-over-n", "triangular", 10**6, 200, 1.0, True, ["--k", str(10**6), "--kf", "200"]),
-    # 18 digits of radix up to 52 take two int64 words
+    # a gaussian kernel and 19-digit window keys (the id, from when such a
+    # window took two int64 words, is kept so that test ids stay stable)
     ("two-words", "gaussian", 50, 9, 1.0, True, ["--kernel", "gaussian", "--k", "50", "--kf", "9"]),
     (
         "hanning-unclamped",
@@ -112,8 +113,6 @@ def test_blocks_give_the_one_document_floats(monkeypatch, tmp_path, capsys, bloc
     alone = [classify(doc, CATEGORIES, cfg, mode) for doc in docs]
     monkeypatch.setattr(classify_module, "BLOCK_POSITIONS", block)
     assert _hex(classify_documents(docs, CATEGORIES, cfg, mode)) == _hex(alone)
-    if config[0] == "two-words" and mode == "rbf":
-        assert any(isinstance(code, tuple) for memo in rbfwin._WINDOWS.values() for code in memo)
 
     names = sorted(model.name for model in CATEGORIES)
     confusion = [[0] * len(names) for _ in names]
@@ -135,7 +134,10 @@ def test_blocks_give_the_one_document_floats(monkeypatch, tmp_path, capsys, bloc
     expected = []
     for number, text in enumerate(QUERY_TEXTS, start=1):
         node = parse_query(text, default_stemmer())
-        scores = ((doc.doc_id, mode_similarity(doc, node, cfg, mode)) for doc in docs)
+        if mode == "standard":
+            scores = ((doc.doc_id, similarity(doc, node, cfg.kernel)) for doc in docs)
+        else:
+            scores = ((doc.doc_id, rbf_similarity(doc, node, cfg)) for doc in docs)
         ranked = rank_by_score(pair for pair in scores if pair[1] > 0.0)
         expected.append(f"# query {number}: {text}\n")
         expected += [f"{rank}\t{doc_id}\t{value:.6f}\n" for rank, (doc_id, value) in enumerate(ranked, 1)]
@@ -243,23 +245,41 @@ def test_small_batches_and_rows_give_the_same_floats(monkeypatch, config, mode):
 
 
 def test_sparse_rows_copy_their_windows_out(monkeypatch):
-    """A wide window over many short documents leaves few windows per row wanted; those are copied out."""
+    """A wide window over many short documents leaves few windows per row wanted."""
     rng = random.Random(3)
     docs = [build_document("long", [rng.choice("abcdx") for _ in range(LONG)])]
     docs += [build_document(f"s{i:02d}", [rng.choice("abcd"), rng.choice("abx")]) for i in range(60)]
     cfg = RbfConfig(InfluenceKernel("triangular", 5), 200)
     alone = [classify(doc, CATEGORIES, cfg, "rbf") for doc in docs]
-    copied = []
-    window_codes = rbfwin._window_codes
-
-    def spy(padded, kf, radix, wanted):
-        copied.append(16 * len(wanted) < len(padded) - 2 * kf)
-        return window_codes(padded, kf, radix, wanted)
-
-    monkeypatch.setattr(rbfwin, "_window_codes", spy)
     monkeypatch.setattr(classify_module, "BLOCK_POSITIONS", 10**9)
     assert _hex(classify_documents(docs, CATEGORIES, cfg, "rbf")) == _hex(alone)
-    assert any(copied)
+
+
+def test_a_window_keeps_its_key_in_a_longer_run():
+    """At k = 10**6 a run's table is as long as its longest document; its keys are not.
+
+    A short document scored alone and then in a run with a longer one adds
+    no entries the second time, while both tables have at most 255 values.
+    Past that a run's keys take two bytes a digit.
+    """
+    rng = random.Random(30)
+    short, longer, wide = (
+        build_document(name, [rng.choice("abxyz") for _ in range(n)])
+        for name, n in (("short", 30), ("longer", 90), ("wide", 300))
+    )
+    cfg = RbfConfig(InfluenceKernel("triangular", 10**6), 3)
+    node = parse_query("a OR b")
+
+    def entries(*runs):
+        rbfwin._WINDOWS.clear()
+        for run in runs:
+            proxcore._similarities(run, node, rbfwin._rbf_term_profiles, cfg)
+        return {dtype.name: len(memo) for (_, _, dtype, _), memo in rbfwin._WINDOWS.items()}
+
+    alone, both = entries([short]), entries([short, longer])
+    assert 0 < alone["uint8"] < both["uint8"]
+    assert entries([short], [short, longer]) == both
+    assert entries([short, wide]).keys() == {"uint16"}
 
 
 @pytest.mark.parametrize("mode", MODES)

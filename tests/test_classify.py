@@ -23,7 +23,7 @@ from proxima.classify import (
     load_categories,
     load_synthetic_spec,
     metrics_from_confusion,
-    mode_similarity,
+    mode_similarities,
     save_categories,
     substitute_equivalents,
     uniform_synthetic_spec,
@@ -279,7 +279,7 @@ class TestClassify:
     def test_unknown_mode_raises_everywhere(self, mode):
         model = CategoryModel("x", frozenset({"a"}))
         corpus = make_corpus({"d": ["a", "b"], "e": ["z"]}, {"d": "x", "e": "x"})
-        calls = [lambda doc=doc: mode_similarity(doc, model.query, CFG, mode) for doc in corpus]
+        calls = [lambda doc=doc: mode_similarities([doc], model.query, CFG, mode) for doc in corpus]
         calls += [lambda doc=doc: classify(doc, [model], CFG, mode) for doc in corpus]
         calls.append(lambda: evaluate(corpus, [model], CFG, mode))
         for call in calls:

@@ -290,19 +290,20 @@ class TestProfilesAndQueries:
 
 
 class TestWindowCodes:
-    """The coded window memo gives exactly the scalar oracle's floats, cold, warm or cleared."""
+    """The keyed window memo gives exactly the scalar oracle's floats, cold, warm or cleared."""
 
-    # (k, kf): one-word codes, two-word codes (radix 52 fits 11 digits a
-    # word), kf at least n (up to 80 digits of radix 7), a 1-digit window,
-    # and a kernel wider than any document
-    WIDTHS = [(1, 1), (3, 2), (5, 5), (50, 9), (5, 40), (10**6, 7)]
+    # (k, kf): narrow windows, 19-digit keys, kf at least n (keys of up to 81
+    # digits), a 1-digit window, a kernel wider than any document, and a
+    # table of 301 values over the longest document, whose keys take two
+    # bytes a digit
+    WIDTHS = [(1, 1), (3, 2), (5, 5), (50, 9), (5, 40), (10**6, 7), (300, 7)]
     SETTINGS = [(0.0, True), (1.0, False), (2.0, True), (0.5, False)]
 
     @staticmethod
     def _documents():
         rng = random.Random(91)
         docs = [build_document("d0", ["a"]), build_document("d1", list("ab"))]
-        for length in (9, 33, 75):
+        for length in (9, 33, 75, 300):
             docs.append(build_document(f"n{length}", [rng.choice("abqqqqq") for _ in range(length)]))
         return docs
 
@@ -319,9 +320,11 @@ class TestWindowCodes:
             monkeypatch.setattr(rbfwin, "_WINDOW_CACHE_SIZE", 3)
         rbfwin._WINDOWS.clear()
         longest = 0
-        for (k, kf), (threshold, clamp) in zip(self.WIDTHS * 2, self.SETTINGS * 3):
+        for (k, kf), (threshold, clamp) in zip(self.WIDTHS * 2, self.SETTINGS * 4):
             config = RbfConfig(InfluenceKernel(shape, k), kf, threshold, clamp)
             for doc in self._documents():
+                if doc.n > 255 and k < 255:
+                    continue  # one byte a digit, as in the shorter documents
                 longest = max(longest, doc.n)
                 for term in ("a", ("a", "b")):
                     if memo == "cold":
@@ -333,10 +336,11 @@ class TestWindowCodes:
                         # past the cap the memo holds one call's windows at most
                         assert sum(map(len, rbfwin._WINDOWS.values())) <= max(3, longest)
 
-    def test_wide_windows_take_several_words(self):
+    def test_a_key_is_its_digits(self):
+        """One byte a digit while the table has at most 255 values, two bytes past that."""
         rbfwin._WINDOWS.clear()
-        doc = self._documents()[-1]
-        for k, kf in ((50, 9), (5, 40)):
+        short, wide = self._documents()[-2:]
+        for doc, (k, kf) in ((short, (50, 9)), (short, (5, 40)), (wide, (300, 7))):
             rbf_term_profile(doc, "a", RbfConfig(InfluenceKernel("gaussian", k), kf))
-        memos = rbfwin._WINDOWS.values()
-        assert {len(code) for memo in memos for code in memo} == {2, 4}
+        sizes = {(k, dtype.name): {len(key) for key in memo} for (_, k, dtype, _), memo in rbfwin._WINDOWS.items()}
+        assert sizes == {(50, "uint8"): {19}, (5, "uint8"): {81}, (300, "uint16"): {30}}
