@@ -7,12 +7,13 @@ matches its equivalents; the highest-similarity category wins, with
 alphabetical tie-breaking.  The evaluation harness reports per-category
 recall/precision/F1 and unweighted macro averages over top-1 predictions.
 
-``evaluate``, ``proxima classify`` and ``proxima query`` score documents
-in runs of at most ``BLOCK_POSITIONS`` positions (``classify_documents``,
-``mode_similarities``).  Each query is folded over a run's documents laid
-end to end, each leaf profiled in the documents that hold it as the fold
-reads it (``proxcore._similarities``), and each document's similarity is
-the sum of its own slice of that fold, over its length.  That is the same
+``evaluate``, ``proxima classify`` and ``proxima query`` score each query
+over all their documents at once (``mode_similarities``, and per category
+``classify_documents``), through ``proxcore._similarities``, which alone
+decides how the documents are cut into runs.  Each query is folded over a
+run's documents laid end to end, each leaf profiled in the documents that
+hold it as the fold reads it, and each document's similarity is the sum
+of its own slice of that fold, over its length.  That is the same
 float as scoring the document alone: the leaves' values are the same,
 absent leaves fold as exact zeros, and numpy sums a contiguous slice in
 the same order as a copy of it.
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from operator import add
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .kernels import RbfConfig
 from .posindex import Corpus, PositionalDocument, build_document, write_text_atomic
@@ -75,16 +76,6 @@ __all__ = [
 ]
 
 MODES = ("standard", "rbf")
-
-# ``classify_documents`` and ``mode_similarities`` score documents in runs
-# of at most this many positions (a longer document is a run of its own).
-# A fold holds a few rows over its run at a time, whatever the number of
-# leaves, so a run's arrays take a few dozen bytes per position.  Larger
-# runs make fewer profile calls per leaf.  On the three benchmark workloads'
-# corpora (2-core VM, Python 3.11.7, numpy 2.4.6), 2**13 scored 1.2x to 2.5x
-# as fast as 2**9, and 2**14 and 2**15 no faster; a C5 `evaluate` pass's
-# traced peak was 0.4-0.6 MB, against 0.03-0.05 MB at 2**9 and 1.4 MB at 2**15.
-BLOCK_POSITIONS = 1 << 13
 
 # reserved: names the macro row in machine-readable eval records
 _MACRO = "macro"
@@ -226,53 +217,29 @@ def classify_documents(
     categories: Sequence[CategoryModel],
     cfg: RbfConfig,
     mode: str = "standard",
-) -> Iterator[list[tuple[str, float]]]:
-    """``classify`` of each document, scored in runs of at most ``BLOCK_POSITIONS`` positions.
+) -> list[list[tuple[str, float]]]:
+    """``classify`` of each document, each category's query scored over all of them at once.
 
-    Each category's query is folded over a run's documents at once
-    (``proxcore._similarities``), which gives each document the same floats
-    as scoring it alone.  The mode is checked here; the rankings are made
-    run by run as they are read.
+    That is ``mode_similarities`` per category, which gives each document
+    the same floats as scoring it alone.  The mode is checked here.
     """
     if not categories:
         raise ValueError("need at least one category")
-    _, profiles, settings = _mode_scorers(cfg, mode)
-    similarities = _scoring_module("proxcore")._similarities
+    docs = list(docs)
     names = [model.name for model in categories]
-    return (
-        rank_by_score(zip(names, scores))
-        for block in _blocks(docs)
-        for scores in zip(*[similarities(block, model.query, profiles, settings) for model in categories])
-    )
+    columns = [mode_similarities(docs, model.query, cfg, mode) for model in categories]
+    return [rank_by_score(zip(names, scores)) for scores in zip(*columns)]
 
 
 def mode_similarities(
-    docs: Iterable[PositionalDocument], node: QueryNode, cfg: RbfConfig, mode: str
+    docs: Sequence[PositionalDocument], node: QueryNode, cfg: RbfConfig, mode: str
 ) -> list[float]:
-    """The mode's similarity of each document, scored in runs of at most ``BLOCK_POSITIONS`` positions.
+    """The mode's similarity of each document, folded in runs (``proxcore._similarities``).
 
     That is ``similarity`` in standard mode and ``rbf_similarity`` in rbf mode.
     """
     _, profiles, settings = _mode_scorers(cfg, mode)
-    similarities = _scoring_module("proxcore")._similarities
-    return [value for block in _blocks(docs) for value in similarities(block, node, profiles, settings)]
-
-
-def _blocks(docs: Iterable[PositionalDocument]) -> Iterator[list[PositionalDocument]]:
-    """The documents in order, in runs of at most ``BLOCK_POSITIONS`` positions.
-
-    A document longer than that is a run of its own.
-    """
-    block: list[PositionalDocument] = []
-    size = 0
-    for doc in docs:
-        if block and size + doc.n > BLOCK_POSITIONS:
-            yield block
-            block, size = [], 0
-        block.append(doc)
-        size += doc.n
-    if block:
-        yield block
+    return _scoring_module("proxcore")._similarities(docs, node, profiles, settings)
 
 
 def rank_by_score(pairs: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
@@ -473,7 +440,7 @@ def _finish_block(block: _Block, path: str | Path) -> CategoryModel:
         raise CategoryFormatError(f"{path}:{block.lineno}: {exc}") from exc
 
 
-def _parse_category_blocks(
+def _parse_categories(
     lines: list[tuple[int, str]],
     path: str | Path,
     stemmer: LightStemmer | None,
@@ -522,7 +489,7 @@ def _parse_category_blocks(
 
 def load_categories(path: str | Path, stemmer: LightStemmer | None = None) -> list[CategoryModel]:
     """Read a category file (see module docs for the block grammar)."""
-    return _parse_category_blocks(read_lines(path), path, stemmer)
+    return _parse_categories(read_lines(path), path, stemmer)
 
 
 def save_categories(models: Sequence[CategoryModel], path: str | Path) -> None:
@@ -650,7 +617,7 @@ def load_synthetic_spec(path: str | Path, stemmer: LightStemmer | None = None) -
     )
     try:
         params = read_settings(lines[:body], SyntheticSpec, path)
-        categories = _parse_category_blocks(lines[body:], path, stemmer)
+        categories = _parse_categories(lines[body:], path, stemmer)
         return SyntheticSpec(categories=tuple(categories), **params)  # type: ignore[arg-type]
     except SynthSpecError as exc:  # a parameter rejected by the spec: name the file
         raise SynthSpecError(f"{path}: {exc}") from exc

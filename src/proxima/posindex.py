@@ -139,8 +139,15 @@ def write_text_atomic(path: str | Path, text: str) -> None:
 
 
 def load_corpus(path: str | Path) -> Corpus:
-    """Read a corpus file written by ``save_corpus``."""
-    lines = read_text(path).splitlines()
+    """Read a corpus file written by ``save_corpus``.
+
+    ``save_corpus`` ends every line with a line end, so a last line without
+    one was cut short, mid-record, and raises CorpusFormatError.
+    """
+    text = read_text(path)
+    cut = text[-1:].splitlines() == [text[-1:]]  # the last character breaks no line
+    lines = text.splitlines()
+    del text  # the lines hold it all, and the loop below is the load's peak
     if not lines:
         raise CorpusFormatError(f"{path}:1: empty file, expected {CORPUS_HEADER!r} header")
     if lines[0] != CORPUS_HEADER:
@@ -165,4 +172,6 @@ def load_corpus(path: str | Path) -> Corpus:
             build_document(doc_id, stem_field.split()),
             label=None if label == _UNLABELED else label,
         )
+    if cut:
+        raise CorpusFormatError(f"{path}:{len(lines)}: the file ends mid-line, as if cut short")
     return corpus

@@ -12,8 +12,10 @@ Profiles are built for a block of (document, stem) segments at a time
 body, ``_fold``, folds a query over a run of documents laid end to end,
 profiling each leaf in the documents that hold it as the fold reads it:
 ``similarity`` and ``query_profile`` fold a run of one document, and
-``_similarities`` scores a run of many, as a classification pass or a
-``proxima query`` does, with the same floats.
+``_similarities`` scores many, as a classification pass or a ``proxima
+query`` does, with the same floats.  It is the one place that cuts
+documents into runs: at most ``RUN_POSITIONS`` positions per run, counted
+as if each of its documents were as long as its longest.
 
 The kernels themselves (``InfluenceKernel``, ``KERNEL_SHAPES``) are defined
 in ``kernels``, without numpy, and re-exported here.
@@ -45,6 +47,22 @@ __all__ = [
     "score",
     "similarity",
 ]
+
+# ``_similarities`` cuts the documents it scores into runs of count documents
+# with count * longest <= RUN_POSITIONS (a document that breaks the bound
+# alone is a run of its own).  That one bound keeps both of a run's large arrays small: the
+# number line of ``_segment_digits``, which puts segments ``longest`` apart,
+# and the rbf row, which puts kf' = min(kf, longest) outside digits around
+# each segment; each is at most about 2 * RUN_POSITIONS + longest long.  A
+# fold holds a few rows over its run at a time, whatever the number of
+# leaves.  Larger runs make fewer profile calls per leaf.  On the three
+# benchmark workloads' corpora (2-core VM, Python 3.11.7, numpy 2.4.6), runs
+# of 2**13 positions scored 1.2x to 2.5x as fast as 2**9, and 2**14 and
+# 2**15 no faster; a C5 `evaluate` pass's traced peak was 0.4-0.6 MB,
+# against 0.03-0.05 MB at 2**9 and 1.4 MB at 2**15.  (Those runs were bounded
+# by their summed positions; the documents of those corpora are near-uniform
+# in length, so both rules cut nearly the same runs.)
+RUN_POSITIONS = 1 << 13
 
 # a block of (document, stem) pairs to profile, laid end to end; each stem occurs in its document
 _Segments = list[tuple[PositionalDocument, "str | tuple[str, ...]"]]
@@ -278,24 +296,36 @@ def _fold(docs: list[PositionalDocument], node: QueryNode, profiles, settings) -
 
 
 def _similarities(docs: list[PositionalDocument], node: QueryNode, profiles, settings) -> list[float]:
-    """Each document's similarity to the query, through one ``_fold`` of the documents that can score.
+    """Each document's similarity to the query, one ``_fold`` per run of the documents that can score.
 
     Documents that fail ``has_terms`` score exactly 0, unprofiled.  The
-    others are folded as one run, and each scores the sum of its own slice
+    others are cut, in order, into runs: a run takes the next document
+    while (count + 1) * max(longest, n) <= ``RUN_POSITIONS``, so a document
+    that breaks the bound alone is a run of its own.  Each run is one
+    ``_fold``, and each of its documents scores the sum of its own slice
     over n.  A contiguous slice sums pairwise in the same order as the same
     values in an array of their own, so a document gets the same float in
     any run as alone.
     """
     scores = [0.0] * len(docs)
-    scorable = [d for d, doc in enumerate(docs) if has_terms(doc, node)]
-    if not scorable:
-        return scores
-    folded = _fold([docs[d] for d in scorable], node, profiles, settings)
-    start = 0
-    for d in scorable:
-        n = docs[d].n
-        scores[d] = float(folded[start : start + n].sum()) / n
-        start += n
+    runs: list[list[int]] = []
+    longest = 0
+    for d, doc in enumerate(docs):
+        if not has_terms(doc, node):
+            continue
+        if runs and (len(runs[-1]) + 1) * max(longest, doc.n) <= RUN_POSITIONS:
+            runs[-1].append(d)
+            longest = max(longest, doc.n)
+        else:
+            runs.append([d])
+            longest = doc.n
+    for run in runs:
+        folded = _fold([docs[d] for d in run], node, profiles, settings)
+        start = 0
+        for d in run:
+            n = docs[d].n
+            scores[d] = float(folded[start : start + n].sum()) / n
+            start += n
     return scores
 
 

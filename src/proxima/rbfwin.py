@@ -26,23 +26,25 @@ min(k, longest segment), an index into the kernel's table of values.
 Digit d always stands for ``at(d)``, whatever the run.  The digits are
 stored in the smallest unsigned dtype that holds top + 1 (uint8 for every
 k below 255), and that dtype's largest value, never a table index, means
-"outside the segment".  The segments are written into rows of digits with
-kf' outside digits before, between and after them (kf' = min(kf,
-longest)), so no window reaches across a segment edge; a row holds about
-``_ROW_DIGITS`` digits, or one longer segment.  A window's key is the bytes
-of its 2*kf' + 1 digits, its centre set to the outside digit.  Documents
-repeat the same few windows over and over, so each key's boost is memoised
-per window geometry (kernel shape, k, digit dtype, multiplier) in a
-process-wide dict, which is cleared when it reaches a fixed size.  The memo
-is exact: a key is its window's digits, so it fixes the window's table
-values, and its length fixes the window's width.  A key missing from the
-memo is read back digit by digit, the outside digits are dropped, and the
-rest give exactly the tuple the scalar path builds, summed by the same
-``window_boost``; the same tuple always gives the same float.  So memoised
-and fresh boosts are bit-identical, and values on the band edge cannot
-flip, whatever block or row a window is scored in.  An all-zero window's
-boost is exactly 0.0, so such windows are not looked up at all, and a
-document whose query fails ``has_terms`` is not profiled.
+"outside the segment".  A block's segments are written into one row of
+digits with kf' outside digits before, between and after them (kf' =
+min(kf, longest)), so no window reaches across a segment edge.  The row
+needs no cut of its own: ``proxcore._similarities`` bounds a run's count
+times its longest segment by ``proxcore.RUN_POSITIONS``, so a row of wide
+windows between many short segments stays short too.  A window's key is
+the bytes of its 2*kf' + 1 digits, its centre set to the outside digit.
+Documents repeat the same few windows over and over, so each key's boost
+is memoised per window geometry (kernel shape, k, digit dtype,
+multiplier) in a process-wide dict, which is cleared when it reaches a
+fixed size.  The memo is exact: a key is its window's digits, so it fixes
+the window's table values, and its length fixes the window's width.  A
+key missing from the memo is read back digit by digit, the outside digits
+are dropped, and the rest give exactly the tuple the scalar path builds,
+summed by the same ``window_boost``; the same tuple always gives the same
+float.  So memoised and fresh boosts are bit-identical, and values on the
+band edge cannot flip, whatever block a window is scored in.  An all-zero
+window's boost is exactly 0.0, so such windows are not looked up at all,
+and a document whose query fails ``has_terms`` is not profiled.
 ``window_stats`` adds left to right, as the builtin ``sum()`` does only
 before Python 3.12.
 """
@@ -97,13 +99,6 @@ _WINDOW_CACHE_SIZE = 4096
 
 # window geometry (kernel shape, k, digit dtype, threshold_scale) -> key -> boost
 _WINDOWS: dict[tuple, dict] = {}
-
-# A row of digits holds segments of about this many digits in all (or one
-# longer segment), so the kf "outside" digits between short segments cannot
-# make it long.  A row's arrays stay small, and so does the list of its
-# live windows' keys.  On the three benchmark workloads, 2**13 and 2**16
-# score equally fast.
-_ROW_DIGITS = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -195,42 +190,21 @@ def _rbf_term_profiles(segments: _Segments, cfg: RbfConfig) -> np.ndarray:
     """``rbf_term_profile`` of each (document, stem) segment, laid end to end in one array.
 
     Every stem must occur in its document.  The segments share one
-    ``searchsorted`` for their distance digits (``_segment_digits``); their
-    windows are keyed in rows of about ``_ROW_DIGITS`` digits
-    (``_row_boosts``), usually one, and looked up in the window memo.
+    ``searchsorted`` for their distance digits (``_segment_digits``), and
+    their digits go into one row with kf' "outside" digits before, between
+    and after them, so that no window reaches across a segment edge.  A
+    window whose values are all 0 has mu = sigma = 0 and a boost of exactly
+    0.0, so only the windows holding a nonzero value besides their centre's
+    are looked up in the window memo; the others keep their 0.0.
     """
     digits, table, lengths = _segment_digits(segments, cfg.kernel)
     base = table[digits]
     # every window is clipped to its segment, so any kf >= n gives the same
-    # windows; capping it keeps the index sums inside int64
+    # windows; capping it keeps the row as short as ``proxcore.RUN_POSITIONS``
+    # allows and the index sums inside int64
     kf = min(cfg.kf, max(lengths))
-    geometry = (cfg.kernel.shape, cfg.kernel.k, np.min_scalar_type(len(table)), cfg.threshold_scale)
-    boosts = np.zeros(len(digits), dtype=np.float64)
-    first = at = 0
-    while first < len(lengths):
-        # the next segments whose digits and outside digits fit one row (at least one)
-        last, size = first + 1, lengths[first]
-        while last < len(lengths) and size + (last + 2 - first) * kf + lengths[last] <= _ROW_DIGITS:
-            size += lengths[last]
-            last += 1
-        row = slice(at, at + size)
-        _row_boosts(digits[row], base[row], lengths[first:last], kf, geometry, table, boosts[row])
-        first, at = last, at + size
-    # elementwise float64 addition and min round exactly like the scalar forms
-    raw = np.add(base, boosts, out=boosts)
-    return np.minimum(raw, 1.0, out=raw) if cfg.clamp_output else raw
-
-
-def _row_boosts(digits, base, lengths, kf: int, geometry: tuple, table: np.ndarray, out: np.ndarray) -> None:
-    """Write the window boost of each of some segments' positions into ``out`` (zeros).
-
-    The segments' digits go into one row with kf "outside" digits before,
-    between and after them, so that no window reaches across a segment
-    edge.  A window whose values are all 0 has mu = sigma = 0 and a boost
-    of exactly 0.0, so only the windows holding a nonzero value besides
-    their centre's are looked up; the others keep their 0.0.
-    """
-    dtype = geometry[2]
+    dtype = np.min_scalar_type(len(table))
+    geometry = (cfg.kernel.shape, cfg.kernel.k, dtype, cfg.threshold_scale)
     outside = (1 << 8 * dtype.itemsize) - 1  # the dtype's largest value
     # ``real`` picks the segments' positions out of the row, and ``centres``
     # the windows around them.  A lone segment, as when one document is
@@ -264,7 +238,11 @@ def _row_boosts(digits, base, lengths, kf: int, geometry: tuple, table: np.ndarr
     keys = windows[live if lone else centres[live]]
     keys[:, kf] = outside
     keys = keys.view(f"V{width * keys.itemsize}").ravel().tolist()
-    out[live] = _window_boosts(keys, geometry, table)
+    boosts = np.zeros(len(digits), dtype=np.float64)
+    boosts[live] = _window_boosts(keys, geometry, table)
+    # elementwise float64 addition and min round exactly like the scalar forms
+    raw = np.add(base, boosts, out=boosts)
+    return np.minimum(raw, 1.0, out=raw) if cfg.clamp_output else raw
 
 
 def rbf_term_profile(doc: PositionalDocument, term: str, cfg: RbfConfig) -> np.ndarray:

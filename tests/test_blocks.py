@@ -1,19 +1,19 @@
-"""Scoring in blocks: many documents per fold, the same floats as one by one.
+"""Scoring in runs: many documents per fold, the same floats as one by one.
 
 ``classify_documents`` (and through it ``evaluate`` and ``proxima classify``)
-and ``mode_similarities`` (``proxima query``) score documents in runs of at
-most ``classify.BLOCK_POSITIONS`` positions, each query folded over a run at
-once (``proxcore._similarities``), with rbf windows keyed in rows of about
-``rbfwin._ROW_DIGITS`` digits.  Every score must be bit-identical to the
-one-document ``classify``, ``similarity`` and ``rbf_similarity``, which fold
-a run of one document, whatever the run and row sizes, so each check
-compares ``float.hex``.  A window's memo key is its own digits, so a window
-scored in a longer run finds the entry it left when scored alone.
+and ``mode_similarities`` (``proxima query``) score each query over all
+their documents through ``proxcore._similarities``, which cuts the
+documents that can score into runs of count documents with count *
+longest <= ``proxcore.RUN_POSITIONS`` and folds each run at once.  Every
+score must be bit-identical to the one-document ``classify``,
+``similarity`` and ``rbf_similarity``, which fold a run of one document,
+whatever the run size, so each check compares ``float.hex``.  A window's
+memo key is its own digits, so a window scored in a longer run finds the
+entry it left when scored alone.
 """
 
 import math
 import random
-import sys
 import tracemalloc
 
 import hypothesis.strategies as st
@@ -29,6 +29,7 @@ from proxima.classify import (
     classify_documents,
     evaluate,
     metrics_from_confusion,
+    mode_similarities,
     rank_by_score,
     save_categories,
 )
@@ -39,17 +40,14 @@ from proxima.querylang import parse_query
 from proxima.rbfwin import RbfConfig, rbf_similarity, rbf_term_profile, window_stats
 from proxima.textprep import default_stemmer
 
-# the package exports a function named classify, so fetch the module itself
-classify_module = sys.modules["proxima.classify"]
-
 CATEGORIES = [
     CategoryModel("alpha", frozenset({"a", "b"}), {"e": "a", "f": "a"}),
     CategoryModel("beta", frozenset({"c"}), {"g": "c"}),
     CategoryModel("gamma", frozenset({"d", "h"})),
 ]
 
-MID = 40  # the length of the document "mid", one block size below
-LONG = 130  # longer than another block size below
+MID = 40  # the length of the document "mid", one run size below
+LONG = 130  # longer than another run size below
 
 
 def _corpus() -> Corpus:
@@ -87,7 +85,7 @@ CONFIGS = [
     ),
 ]
 
-# one position, one document's length, a block the long document overflows, the whole corpus
+# one position, one document's length, a run the long document overflows, the whole corpus
 BLOCKS = [1, MID, LONG - 1, 10**9]
 
 # ``proxima query`` lines with AND, OR and NEAR; no document holds "w"
@@ -111,7 +109,7 @@ def test_blocks_give_the_one_document_floats(monkeypatch, tmp_path, capsys, bloc
     docs = list(corpus)
     # one document at a time, each leaf profiled on its own
     alone = [classify(doc, CATEGORIES, cfg, mode) for doc in docs]
-    monkeypatch.setattr(classify_module, "BLOCK_POSITIONS", block)
+    monkeypatch.setattr(proxcore, "RUN_POSITIONS", block)
     assert _hex(classify_documents(docs, CATEGORIES, cfg, mode)) == _hex(alone)
 
     names = sorted(model.name for model in CATEGORIES)
@@ -144,17 +142,37 @@ def test_blocks_give_the_one_document_floats(monkeypatch, tmp_path, capsys, bloc
     assert capsys.readouterr().out == "".join(expected)
 
 
-def test_blocks_split_by_positions(monkeypatch):
+@pytest.mark.parametrize("block", BLOCKS)
+def test_runs_cut_the_scored_documents_in_order(monkeypatch, block):
+    """Each run is one document or count * longest <= RUN_POSITIONS, and takes all it can."""
     docs = list(_corpus())
-    for block in BLOCKS:
-        monkeypatch.setattr(classify_module, "BLOCK_POSITIONS", block)
-        blocks = list(classify_module._blocks(docs))
-        assert [doc for b in blocks for doc in b] == docs
-        for b in blocks:
-            assert len(b) == 1 or sum(doc.n for doc in b) <= block
-    monkeypatch.setattr(classify_module, "BLOCK_POSITIONS", LONG - 1)
-    assert [doc.doc_id for doc in docs if doc.n >= LONG] == ["long"]
-    assert [b for b in classify_module._blocks(docs) if b[0].doc_id == "long"] == [[docs[-2]]]
+    node = parse_query("a OR x")
+    runs = []
+    fold = proxcore._fold
+
+    def spy(run, *args):
+        runs.append(run)
+        return fold(run, *args)
+
+    monkeypatch.setattr(proxcore, "_fold", spy)
+    monkeypatch.setattr(proxcore, "RUN_POSITIONS", block)
+    proxcore._similarities(docs, node, proxcore._term_profiles, InfluenceKernel())
+    held = [doc for doc in docs if has_terms(doc, node)]
+    assert len(held) < len(docs)
+    assert [doc for run in runs for doc in run] == held
+    for run, after in zip(runs, runs[1:] + [None]):
+        longest = max(doc.n for doc in run)
+        assert len(run) == 1 or len(run) * longest <= block
+        if after is not None:  # the next document would have broken the bound
+            assert (len(run) + 1) * max(longest, after[0].n) > block
+    if block == LONG - 1:
+        assert [run for run in runs if any(doc.doc_id == "long" for doc in run)] == [[docs[-2]]]
+    # a run may fill the bound exactly
+    runs.clear()
+    four = [build_document(f"f{i}", ["a", "x", "a", "x"]) for i in range(4)]
+    monkeypatch.setattr(proxcore, "RUN_POSITIONS", 8)
+    proxcore._similarities(four, node, proxcore._term_profiles, InfluenceKernel())
+    assert runs == [four[:2], four[2:]]
 
 
 @pytest.mark.parametrize("mode", ["RBF", "", "bogus"])
@@ -233,14 +251,13 @@ def _alone(doc, node, profile, settings_) -> float:
 @pytest.mark.parametrize("config", CONFIGS, ids=[c[0] for c in CONFIGS])
 @pytest.mark.parametrize("mode", MODES)
 def test_small_batches_and_rows_give_the_same_floats(monkeypatch, config, mode):
-    """A leaf two categories share, profiled once for each, and rows split short."""
+    """A leaf two categories share, profiled once for each, in one run."""
     _, shape, k, kf, threshold, clamp, _ = config
     cfg = RbfConfig(InfluenceKernel(shape, k), kf, threshold, clamp)
     docs = list(_corpus())
     shared = [*CATEGORIES, CategoryModel("delta", frozenset({"a", "c"}), {"g": "c"})]
     alone = [classify(doc, shared, cfg, mode) for doc in docs]
-    monkeypatch.setattr(classify_module, "BLOCK_POSITIONS", 10**9)
-    monkeypatch.setattr(rbfwin, "_ROW_DIGITS", 2 * kf + 3)
+    monkeypatch.setattr(proxcore, "RUN_POSITIONS", 10**9)
     assert _hex(classify_documents(docs, shared, cfg, mode)) == _hex(alone)
 
 
@@ -251,8 +268,41 @@ def test_sparse_rows_copy_their_windows_out(monkeypatch):
     docs += [build_document(f"s{i:02d}", [rng.choice("abcd"), rng.choice("abx")]) for i in range(60)]
     cfg = RbfConfig(InfluenceKernel("triangular", 5), 200)
     alone = [classify(doc, CATEGORIES, cfg, "rbf") for doc in docs]
-    monkeypatch.setattr(classify_module, "BLOCK_POSITIONS", 10**9)
+    monkeypatch.setattr(proxcore, "RUN_POSITIONS", 10**9)
     assert _hex(classify_documents(docs, CATEGORIES, cfg, "rbf")) == _hex(alone)
+
+
+def _warm_peak(call) -> int:
+    """The traced peak of ``call()``, run once before to warm the window memo."""
+    call()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_wide_windows_over_many_short_documents_stay_small():
+    """kf = 300 around one 300-position document and 3,000 two-position ones.
+
+    In one run, every short document would sit between 300 outside digits,
+    a row of about 900,000 digits; the run rule keeps the wide document
+    with a few dozen short ones, and the others' windows are two wide.
+    """
+    rng = random.Random(4)
+    docs = [build_document("wide", [rng.choice("abcdx") for _ in range(300)])]
+    docs += [build_document(f"s{i:04d}", [rng.choice("abcd"), rng.choice("abx")]) for i in range(3000)]
+    cfg = RbfConfig(InfluenceKernel("triangular", 5), 300)
+    node = parse_query("a OR (b AND c)")
+    alone = [rbf_similarity(doc, node, cfg) for doc in docs]
+    assert [v.hex() for v in mode_similarities(docs, node, cfg, "rbf")] == [v.hex() for v in alone]
+
+    def peak(count):
+        return _warm_peak(lambda: mode_similarities(docs[:count], node, cfg, "rbf"))
+
+    # in one run, ten times the short documents would take about ten times the peak
+    assert peak(3001) < 2 * peak(301)
 
 
 def test_a_window_keeps_its_key_in_a_longer_run():
@@ -292,13 +342,7 @@ def test_memory_does_not_grow_with_leaves(mode):
 
     def peak(count):
         categories = [CategoryModel(f"c{i}", frozenset({vocabulary[i]})) for i in range(count)]
-        list(classify_documents([doc], categories, cfg, mode))  # warm the window memo
-        tracemalloc.start()
-        try:
-            list(classify_documents([doc], categories, cfg, mode))
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return _warm_peak(lambda: classify_documents([doc], categories, cfg, mode))
 
     # all 240 leaves at once would take about 240 rows of 20,000 values
     assert peak(240) < 2 * peak(4)

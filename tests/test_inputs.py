@@ -332,6 +332,15 @@ def test_whatever_save_corpus_writes_loads_back_equal(doc_id, label, stems, work
     assert load_corpus(workdir / "round-trip.tsv") == corpus
 
 
+def test_a_corpus_cut_mid_record_exits_2(tmp_path):
+    """d2's record has no line end, so the file was cut inside it; nothing is ranked."""
+    path = tmp_path / "cut.tsv"
+    path.write_text(f"{CORPUS_HEADER}\nd1\t-\tb c\nd2\t-\ta b", encoding="utf-8")
+    code, out, err = run_main(["query", path, "a"])
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}:3: the file ends mid-line, as if cut short\n"
+
+
 @FUZZ
 @given(name=names)
 def test_whatever_save_categories_writes_loads_back_equal(name, workdir):

@@ -1,6 +1,7 @@
 """Positional document indexing and corpus persistence tests."""
 
 import os
+import re
 
 import hypothesis.strategies as st
 import pytest
@@ -125,6 +126,25 @@ class TestPersistence:
         path = tmp_path / "bad.tsv"
         path.write_text(f"{CORPUS_HEADER}\nd1\t-\ta\nd2\t-\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError, match=":3:"):
+            load_corpus(path)
+
+    def test_a_file_cut_mid_line_reports_its_last_line(self, tmp_path):
+        path = tmp_path / "cut.tsv"
+        save_corpus(self._sample_corpus(), path)
+        text = path.read_text(encoding="utf-8")
+        assert text.endswith("\n")
+        for end in range(1, len(text)):
+            if text[end - 1] == "\n":  # a cut at a line end cannot be told from a shorter corpus
+                continue
+            path.write_text(text[:end], encoding="utf-8")
+            lineno = text.count("\n", 0, end) + 1
+            with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:{lineno}: "):
+                load_corpus(path)
+        path.write_text(f"{CORPUS_HEADER}\nd1\t-\ta\nd2\t-\ta b", encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:3: the file ends mid-line"):
+            load_corpus(path)
+        path.write_text(CORPUS_HEADER, encoding="utf-8")
+        with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}:1: the file ends mid-line"):
             load_corpus(path)
 
     def test_duplicate_id_reports_line(self, tmp_path):

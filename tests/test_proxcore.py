@@ -73,6 +73,15 @@ class TestInfluenceKernel:
         values = [kernel.at(x) for x in range(0, 11)]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
+    @pytest.mark.parametrize("shape", KERNEL_SHAPES)
+    def test_tables_are_non_increasing(self, shape):
+        """``local_relevance`` takes the nearest occurrence, and ``_segment_digits``
+        clips distances at min(k, longest): both are exact only while at(d + 1) <= at(d)."""
+        for k in [*range(1, 301), 10**4 + 7, 10**6, 10**9, 2**62]:
+            kernel = InfluenceKernel(shape, k)
+            values = [kernel.at(d) for d in range(min(k, 20_000) + 2)]
+            assert all(after <= before for before, after in zip(values, values[1:])), k
+
     def test_validation(self):
         with pytest.raises(ValueError, match="shape"):
             InfluenceKernel("boxcar", 5)
