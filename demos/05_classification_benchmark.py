@@ -12,7 +12,7 @@ rewards positions whose neighborhood is dominated by clustered occurrences,
 a pattern the scattered contamination cannot imitate.  That asymmetry is
 what lifts macro-F1.
 
-Run:  python demos/05_classification_benchmark.py   (about 10 seconds)
+Run:  python demos/05_classification_benchmark.py   (about a second)
 """
 
 import time

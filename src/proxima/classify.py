@@ -18,6 +18,14 @@ float as scoring the document alone: the leaves' values are the same,
 absent leaves fold as exact zeros, and numpy sums a contiguous slice in
 the same order as a copy of it.
 
+In standard mode a category's query is scored as one class leaf of all
+its descriptors and equivalents (``query_plan(query, merged=True)``): OR is
+a max and every kernel table is non-increasing, so the max over the
+descriptors is the table at the least distance to any of their stems,
+which is that leaf's value, float for float.  In rbf mode each
+descriptor's boost depends on its own windows, so each is profiled on
+its own.
+
 This module imports no numpy: ``proxcore`` and ``rbfwin`` are imported
 when a function first scores (``_scoring_module``), so ``proxima
 gen-synth``, which only reads a spec and writes a corpus, never loads

@@ -17,6 +17,14 @@ query`` does, with the same floats.  It is the one place that cuts
 documents into runs: at most ``RUN_POSITIONS`` positions per run, counted
 as if each of its documents were as long as its longest.
 
+In standard mode, ``_fold`` reads every OR of two same-width leaves as
+one class leaf of their stems (``query_plan(node, merged=True)``), so a
+category's OR of descriptors is profiled once.  Every kernel table is
+non-increasing and OR is a max, so the class leaf picks the same table
+entry as the max: the floats are the same by construction.  rbf leaves
+carry window boosts, so rbf scoring, like the scalar oracles
+``eval_query_at`` and ``rbf_eval_query_at``, folds the plan as written.
+
 The kernels themselves (``InfluenceKernel``, ``KERNEL_SHAPES``) are defined
 in ``kernels``, without numpy, and re-exported here.
 """
@@ -203,7 +211,7 @@ def near_boolean(doc: PositionalDocument, term_a: str, term_b: str, k: int) -> b
     return gap is not None and gap < k
 
 
-def fold_query(node: QueryNode, leaf, settings):
+def fold_query(node: QueryNode, leaf, settings, merged: bool = False):
     """A query's relevance from its terms' ``leaf(stem, settings)``, folded over its plan.
 
     Both sides of a NEAR/k get ``settings.with_width(k)`` instead (a kernel or
@@ -213,10 +221,12 @@ def fold_query(node: QueryNode, leaf, settings):
     everywhere: relevance is never negative, so an AND with such a side is
     None too and an OR takes its other side, and the fold returns None when
     the whole query is 0.  The plan is a flat list, so any query depth works.
+    ``merged`` folds ``query_plan(node, merged=True)``, which is exact only
+    for the standard leaf (see ``query_plan``).
     """
     minimum, maximum = np.minimum, np.maximum
     values: list = []
-    for step in query_plan(node):
+    for step in query_plan(node, merged):
         if step is And:
             right, left = values.pop(), values.pop()
             values.append(None if left is None or right is None else minimum(left, right))
@@ -272,7 +282,8 @@ def _fold(docs: list[PositionalDocument], node: QueryNode, profiles, settings) -
     x) = 0`` and ``max(0, x) = x``.  A leaf no document holds is None.  So
     each document's slice holds the floats of folding it alone, and the
     fold holds only the rows it has not yet combined, whatever the
-    number of leaves.
+    number of leaves.  With ``_term_profiles`` it folds the merged plan
+    (see the module docstring); rbf profiles fold the plan as written.
     """
 
     def leaf(stem, settings):
@@ -291,7 +302,7 @@ def _fold(docs: list[PositionalDocument], node: QueryNode, profiles, settings) -
         row[np.repeat([_occurs(doc, stem) for doc in docs], [doc.n for doc in docs])] = values
         return row
 
-    values = fold_query(node, leaf, settings)
+    values = fold_query(node, leaf, settings, merged=profiles is _term_profiles)
     return np.zeros(sum(doc.n for doc in docs), dtype=np.float64) if values is None else values
 
 

@@ -16,7 +16,9 @@ here, unlike on the document side.
 
 Scoring folds a query's ``plan``, its post-order list of steps, rather than
 the tree.  The plan is built once per query and cached on the query's root
-node, so it lives exactly as long as the tree does.
+node, so it lives exactly as long as the tree does.  So is the merged
+plan that standard scoring folds, in which a category's OR tree is one
+class leaf (``query_plan(node, merged=True)``).
 """
 
 from __future__ import annotations
@@ -65,6 +67,46 @@ class _Node:
                 raise TypeError(f"not a query node: {item!r}")
         return tuple(steps)
 
+    @cached_property
+    def merged_plan(self) -> tuple:
+        """``plan`` with every OR of two leaves of one width merged into one leaf.
+
+        An OR whose last two values are leaves takes exactly those two, so
+        merging there, as the plan is read, merges an OR tree bottom up.  A
+        growing leaf's stems are a dict, the smaller folded into the larger,
+        so any tree shape merges in n log n steps.
+        """
+        steps: list = []
+        for step in self.plan:
+            # a leaf is a tuple; the And and Or steps are classes
+            if step is Or and type(steps[-1]) is type(steps[-2]) is tuple and steps[-1][1] == steps[-2][1]:
+                (right, _), (left, width) = steps.pop(), steps.pop()
+                large, small = _members(left), _members(right)
+                if len(large) < len(small):
+                    large, small = small, large
+                large.update(small)
+                steps.append((large, width))
+            else:
+                steps.append(step)
+        if len(steps) == len(self.plan):
+            return self.plan
+        return tuple(
+            (_class(step[0]), step[1]) if type(step) is tuple and type(step[0]) is dict else step
+            for step in steps
+        )
+
+
+def _members(stem) -> dict:
+    """A growing leaf's stems, as a dict of its own."""
+    if type(stem) is dict:
+        return stem
+    return dict.fromkeys((stem,) if isinstance(stem, str) else stem)
+
+
+def _class(members: dict) -> str | tuple[str, ...]:
+    """A merged leaf's stem: its one stem, or its stems as a sorted tuple."""
+    return next(iter(members)) if len(members) == 1 else tuple(sorted(members))
+
 
 @dataclass(frozen=True)
 class Term(_Node):
@@ -93,7 +135,7 @@ class Near(_Node):
 QueryNode = Union[Term, And, Or, Near]
 
 
-def query_plan(node: QueryNode) -> tuple:
+def query_plan(node: QueryNode, merged: bool = False) -> tuple:
     """The query as a post-order tuple of steps, built on first use and cached on ``node``.
 
     A step is a leaf ``(stem, width)``, whose width is None for a plain term
@@ -101,10 +143,21 @@ def query_plan(node: QueryNode) -> tuple:
     ``Or``, which combine the two values before it.  A NEAR/k is its two
     leaves followed by ``And``, since NEAR is a min over its narrowed terms.
     Raises TypeError for anything that is not a query tree.
+
+    ``merged`` asks for the plan in which every OR of two leaves of one
+    width is one class leaf of their stems, sorted and deduplicated.
+    Folding it is exact for a leaf whose value is a non-increasing function
+    of the distance to its stem's nearest occurrence, as standard
+    scoring's kernel tables are: OR is a max, and the max over the leaves
+    is that function at the least distance to any of their stems, the
+    class leaf's value.  An rbf leaf's window boost is not such a
+    function, so rbf scoring folds the plan as written.  A NEAR's leaves
+    are combined by their own ``And`` first, so an OR never meets two
+    leaves of different widths.
     """
     if not isinstance(node, _Node):
         raise TypeError(f"not a query node: {node!r}")
-    return node.plan
+    return node.merged_plan if merged else node.plan
 
 
 class QueryParseError(ValueError):

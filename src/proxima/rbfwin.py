@@ -35,16 +35,17 @@ windows between many short segments stays short too.  A window's key is
 the bytes of its 2*kf' + 1 digits, its centre set to the outside digit.
 Documents repeat the same few windows over and over, so each key's boost
 is memoised per window geometry (kernel shape, k, digit dtype,
-multiplier) in a process-wide dict, which is cleared when it reaches a
-fixed size.  The memo is exact: a key is its window's digits, so it fixes
-the window's table values, and its length fixes the window's width.  A
-key missing from the memo is read back digit by digit, the outside digits
-are dropped, and the rest give exactly the tuple the scalar path builds,
-summed by the same ``window_boost``; the same tuple always gives the same
-float.  So memoised and fresh boosts are bit-identical, and values on the
-band edge cannot flip, whatever block a window is scored in.  An all-zero
-window's boost is exactly 0.0, so such windows are not looked up at all,
-and a document whose query fails ``has_terms`` is not profiled.
+multiplier) in a process-wide dict, which is cleared when its entries
+reach a fixed number of bytes (about 2 MB).  The memo is exact: a key is
+its window's digits, so it fixes the window's table values, and its
+length fixes the window's width.  A key missing from the memo is read
+back digit by digit, the outside digits are dropped, and the rest give
+exactly the tuple the scalar path builds, summed by the same
+``window_boost``; the same tuple always gives the same float.  So
+memoised and fresh boosts are bit-identical, and values on the band edge
+cannot flip, whatever block a window is scored in.  An all-zero window's
+boost is exactly 0.0, so such windows are not looked up at all, and a
+document whose query fails ``has_terms`` is not profiled.
 ``window_stats`` adds left to right, as the builtin ``sum()`` does only
 before Python 3.12.
 """
@@ -89,16 +90,22 @@ __all__ = [
 
 _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 
-# The window memo holds at most this many keys, over all geometries; it is
-# cleared when a lookup would take it past that.  That is more than the
-# distinct windows of any benchmark workload (about 2,250 at most).  An
-# entry is a bytes key and a float.  A kf=200 key is 401 bytes, a 434-byte
-# object, so a full memo of those is about 1.9 MB; past a table of 255
-# values its digits take two bytes and the memo about 3.5 MB.
-_WINDOW_CACHE_SIZE = 4096
+# The window memo holds entries of at most this many bytes, over all
+# geometries; it is cleared when a lookup would take it past that.  An
+# entry is charged its key's length plus _ENTRY_BYTES for the bytes
+# object's header, the float and the dict slot (about 87-94 bytes measured
+# on CPython 3.11, for 11- and 401-byte keys).  So the memo holds 18,893
+# keys of a k=5, kf=5 window (11 bytes), more than the 5,007 distinct
+# windows of C5 (600 documents, seed 7) at the CLI's defaults, and 4,185
+# keys of a kf=200 window (401 bytes), about 2 MB of either.
+_WINDOW_CACHE_SIZE = 2 << 20
+_ENTRY_BYTES = 100
 
-# window geometry (kernel shape, k, digit dtype, threshold_scale) -> key -> boost
+# window geometry (kernel shape, k, digit dtype, threshold_scale) -> key -> boost;
+# a plain dict, since itemgetter looks keys up in a subclass about half as fast
 _WINDOWS: dict[tuple, dict] = {}
+# window geometry -> the bytes charged for its memo's entries, reset when the memo is made
+_CHARGED: dict[tuple, int] = {}
 
 
 @dataclass(frozen=True)
@@ -259,22 +266,28 @@ def _window_boosts(keys: list[bytes], geometry: tuple, table: np.ndarray):
     neighbours' table values, outside digits dropped, are exactly the tuple
     the scalar path builds; ``window_boost`` sums it, so a memoised boost is
     the same float as a fresh one.  The memo is cleared whenever adding
-    this call's new keys would take it past its cap.
+    this call's new keys would take its bytes past the cap.
     """
     if not keys:
         return []
-    memo = _WINDOWS.setdefault(geometry, {})
+    memo = _WINDOWS.get(geometry)
+    if memo is None:
+        memo = _WINDOWS[geometry] = {}
+        _CHARGED[geometry] = 0
     # one C loop over the keys; it gives a float for one key, a tuple for more
     lookup = itemgetter(*keys)
     try:
         return lookup(memo)
     except KeyError:
         pass
+    entry = len(keys[0]) + _ENTRY_BYTES  # a call's windows all have one width
     missing = set(keys).difference(memo)
-    if sum(map(len, _WINDOWS.values())) + len(missing) > _WINDOW_CACHE_SIZE:
+    if sum(map(_CHARGED.__getitem__, _WINDOWS)) + entry * len(missing) > _WINDOW_CACHE_SIZE:
         _WINDOWS.clear()
         memo = _WINDOWS[geometry] = {}
         missing = set(keys)
+        _CHARGED[geometry] = 0
+    _CHARGED[geometry] += entry * len(missing)
     dtype, threshold_scale = geometry[2], geometry[3]
     outside = (1 << 8 * dtype.itemsize) - 1
     values = table.tolist()

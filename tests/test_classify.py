@@ -178,12 +178,17 @@ class TestClassLeaves:
         monkeypatch.setattr(proxcore, "positions_of", counting)
         for doc in corpus:
             classify(doc, models, CFG, mode)
-        # a class leaf is present when one of its members is; an absent one is never merged
+        # a class leaf is present when one of its members is; an absent one is never merged.
+        # Standard mode folds the merged plan, where each category is one class leaf
+        # of all its stems, so it merges once per (document, category) that holds one.
+        plans = [query_plan(model.query, merged=mode == "standard") for model in models]
+        if mode == "standard":
+            assert [len(plan) for plan in plans] == [1] * len(models)
         expected = Counter(
             (doc.doc_id, step[0])
             for doc in corpus
-            for model in models
-            for step in query_plan(model.query)
+            for plan in plans
+            for step in plan
             if isinstance(step, tuple) and isinstance(step[0], tuple)
             if any(stem in doc.inverted for stem in step[0])
         )

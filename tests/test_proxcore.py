@@ -6,9 +6,10 @@ import random
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
 import _reference as ref
+from proxima import proxcore, rbfwin
 from proxima.posindex import build_document
 from proxima.proxcore import (
     KERNEL_SHAPES,
@@ -24,6 +25,7 @@ from proxima.proxcore import (
     term_profile,
 )
 from proxima.querylang import And, Near, Or, Term, parse_query
+from proxima.rbfwin import RbfConfig, rbf_query_profile, rbf_similarity, rbf_term_profile
 
 TRI5 = InfluenceKernel("triangular", 5)
 
@@ -361,3 +363,56 @@ class TestInvariants:
                 before, Term("q"), x, kernel
             )
         assert similarity(after, Term("q"), kernel) >= similarity(before, Term("q"), kernel)
+
+
+_STEMS = st.sampled_from(list("abcz"))
+# plain terms, NEARs and class leaves, stems repeated within a class and across leaves
+_LEAVES = (
+    st.builds(Term, _STEMS)
+    | st.builds(Term, st.lists(_STEMS, min_size=1, max_size=3).map(tuple))
+    | st.builds(Near, st.integers(1, 6), st.builds(Term, _STEMS), st.builds(Term, _STEMS))
+)
+_TREES = st.recursive(
+    _LEAVES,
+    lambda inner: st.builds(And, inner, inner) | st.builds(Or, inner, inner),
+    max_leaves=8,
+)
+
+
+class TestMergedPlan:
+    """Standard scoring folds each OR of same-width leaves as one class leaf, to the same floats.
+
+    The oracle folds the tree's own plan with ``fold_query`` over one-document
+    term profiles, outside the run code.  rbf scoring must keep that plan,
+    so both modes are checked against it.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        docs=st.lists(
+            st.lists(st.sampled_from(list("abcxy")), min_size=1, max_size=25), min_size=1, max_size=5
+        ),
+        node=_TREES,
+        shape=st.sampled_from(KERNEL_SHAPES),
+        k=st.integers(1, 9),
+        kf=st.integers(1, 12),
+        threshold=st.sampled_from([0.0, 0.5, 1.0, 2.0]),
+        clamp=st.booleans(),
+    )
+    def test_folds_equal_the_unmerged_fold(self, docs, node, shape, k, kf, threshold, clamp):
+        documents = [build_document(f"d{i}", stems) for i, stems in enumerate(docs)]
+        cfg = RbfConfig(InfluenceKernel(shape, k), kf, threshold, clamp)
+        modes = (
+            (term_profile, proxcore._term_profiles, query_profile, similarity, cfg.kernel),
+            (rbf_term_profile, rbfwin._rbf_term_profiles, rbf_query_profile, rbf_similarity, cfg),
+        )
+        for leaf, profiles, profile_of, similarity_of, settings_ in modes:
+            wanted = []
+            for doc in documents:
+                want = fold_query(node, lambda stem, s: leaf(doc, stem, s), settings_)
+                wanted.append((float(want.sum()) / doc.n).hex())
+                got = profile_of(doc, node, settings_)
+                assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+                assert similarity_of(doc, node, settings_).hex() == wanted[-1]
+            got = proxcore._similarities(documents, node, profiles, settings_)
+            assert [v.hex() for v in got] == wanted

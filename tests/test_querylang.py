@@ -12,6 +12,7 @@ from proxima.querylang import (
     QueryParseError,
     Term,
     parse_query,
+    query_plan,
     render_query,
 )
 from proxima.textprep import stem_to_fixpoint
@@ -106,6 +107,31 @@ class TestParseErrors:
         with pytest.raises(QueryParseError, match="nested") as err:
             parse_query("x AND " + "(" * depth + "a" + ")" * depth)
         assert err.value.column == len("x AND ") + MAX_NESTING + 1
+
+
+class TestMergedPlan:
+    def test_an_or_of_leaves_is_one_class_leaf(self):
+        # nested and repeated stems merge into one sorted, deduplicated class
+        node = Or(Or(Term("c"), Term(("a", "b"))), Or(Term("a"), Term("c")))
+        assert query_plan(node, merged=True) == ((("a", "b", "c"), None),)
+        assert query_plan(Or(Term("a"), Term("a")), merged=True) == (("a", None),)
+
+    def test_and_near_and_mixed_ors_stay(self):
+        node = parse_query("(a AND b) OR (c NEAR/2 d) OR e")
+        assert query_plan(node, merged=True) == query_plan(node)
+        node = parse_query("(a OR b) AND (c NEAR/2 d)")
+        assert query_plan(node, merged=True) == (
+            (("a", "b"), None), ("c", 2), ("d", 2), And, And
+        )
+
+    def test_a_long_or_merges_in_any_shape(self):
+        stems = [f"w{i:04d}" for i in range(3000)]
+        left = parse_query(" OR ".join(stems))
+        right = Term(stems[-1])
+        for stem in reversed(stems[:-1]):
+            right = Or(Term(stem), right)
+        for node in (left, right):
+            assert query_plan(node, merged=True) == ((tuple(stems), None),)
 
 
 class TestRender:

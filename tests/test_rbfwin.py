@@ -8,6 +8,7 @@ import pytest
 
 import _reference as ref
 from proxima import rbfwin
+from proxima.classify import evaluate, generate_synthetic_corpus, uniform_synthetic_spec
 from proxima.posindex import build_document
 from proxima.proxcore import KERNEL_SHAPES, InfluenceKernel, local_relevance, similarity
 from proxima.querylang import Term, parse_query
@@ -344,3 +345,27 @@ class TestWindowCodes:
             rbf_term_profile(doc, "a", RbfConfig(InfluenceKernel("gaussian", k), kf))
         sizes = {(k, dtype.name): {len(key) for key in memo} for (_, k, dtype, _), memo in rbfwin._WINDOWS.items()}
         assert sizes == {(50, "uint8"): {19}, (5, "uint8"): {81}, (300, "uint16"): {30}}
+
+    def test_a_second_pass_at_the_cli_defaults_is_all_memo_hits(self, monkeypatch):
+        """C5 at k=5, kf=5 holds more distinct windows than 4,096, and the memo keeps them all."""
+        spec = uniform_synthetic_spec(
+            3, 2, 4, docs_per_category=200, doc_length=150,
+            injection_rate=0.7, noise_rate=0.30, cross_rate=0.52,
+        )
+        corpus, models = generate_synthetic_corpus(spec, 7)
+        config = RbfConfig(InfluenceKernel("triangular", 5), kf=5)
+        calls = []
+        boost = rbfwin.window_boost
+
+        def counting(values, threshold_scale):
+            calls.append(values)
+            return boost(values, threshold_scale)
+
+        monkeypatch.setattr(rbfwin, "window_boost", counting)
+        rbfwin._WINDOWS.clear()
+        first = evaluate(corpus, models, config, "rbf")
+        # one call per distinct window: nothing was cleared
+        assert len(calls) == sum(map(len, rbfwin._WINDOWS.values())) > 4096
+        calls.clear()
+        assert evaluate(corpus, models, config, "rbf") == first
+        assert calls == []
