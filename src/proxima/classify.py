@@ -157,21 +157,14 @@ def category_query(model: CategoryModel) -> QueryNode:
 def substitute_equivalents(doc: PositionalDocument, model: CategoryModel) -> PositionalDocument:
     """Rewrite the category's equivalent stems to their descriptors, keeping positions.
 
-    The result equals ``build_document`` over the rewritten stems, but only
-    the descriptors' position lists are rebuilt: each takes over, merged in
-    order, the lists of the equivalents that map onto it: the positions of
-    its class leaf.  Scoring reads those leaves instead; this is their oracle.
+    The result is ``build_document`` over the rewritten stems, or ``doc``
+    itself when it holds no equivalent.  Scoring reads class leaves
+    instead; this is their oracle.
     """
     table = model.equivalents
-    found = [stem for stem in doc.inverted if stem in table]
-    if not found:
+    if table.keys().isdisjoint(doc.inverted):
         return doc
-    inverted = dict(doc.inverted)
-    for stem in found:
-        descriptor = table[stem]
-        inverted[descriptor] = sorted(inverted.get(descriptor, []) + inverted.pop(stem))
-    stems = tuple(map(table.get, doc.stems, doc.stems))
-    return PositionalDocument(doc_id=doc.doc_id, stems=stems, inverted=inverted)
+    return build_document(doc.doc_id, map(table.get, doc.stems, doc.stems))
 
 
 def _mode_scorers(cfg: RbfConfig, mode: str):

@@ -58,11 +58,11 @@ __all__ = [
 
 # ``_similarities`` cuts the documents it scores into runs of count documents
 # with count * longest <= RUN_POSITIONS (a document that breaks the bound
-# alone is a run of its own).  That one bound keeps both of a run's large arrays small: the
-# number line of ``_segment_digits``, which puts segments ``longest`` apart,
-# and the rbf row, which puts kf' = min(kf, longest) outside digits around
-# each segment; each is at most about 2 * RUN_POSITIONS + longest long.  A
-# fold holds a few rows over its run at a time, whatever the number of
+# alone is a run of its own).  That one bound keeps a run's largest array
+# small: the number line of ``_segment_digits``, which puts segments at most
+# ``longest`` apart and which the rbf row reuses, is at most about
+# 2 * RUN_POSITIONS + longest long.  A fold holds a few rows over its run at
+# a time, whatever the number of
 # leaves.  Larger runs make fewer profile calls per leaf.  On the three
 # benchmark workloads' corpora (2-core VM, Python 3.11.7, numpy 2.4.6), runs
 # of 2**13 positions scored 1.2x to 2.5x as fast as 2**9, and 2**14 and
@@ -113,33 +113,38 @@ def local_relevance(doc: PositionalDocument, term: str, x: int, kernel: Influenc
 
 
 def _segment_digits(
-    segments: _Segments, kernel: InfluenceKernel
-) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    segments: _Segments, kernel: InfluenceKernel, reach: int = 0
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Each segment's distances to its stem's nearest occurrence, clipped to top = min(k, longest).
 
-    A segment is a (document, stem) pair whose stem occurs in the document;
-    the result covers the segments laid end to end.  Returns those digits,
-    the kernel's table at 0..top, so that ``table[digits]`` is each
-    segment's local relevance, and the segments' lengths.  One
-    ``searchsorted`` serves every segment: on its number line, each segment
-    lies ``longest`` positions past the one before, and a bound lies that
-    far beyond each end, so every position's nearest occurrence is one of
-    its own segment's, at most n - 1 away.  Clipping is exact: every shape
-    is 0 at k and beyond, and no distance inside a segment reaches its n.
-    ``top`` is taken in Python, so any k works.
+    A segment is a (document, stem) pair whose stem occurs in the document.
+    This is the one place that lays a block's segments out: in order on
+    one number line, the first at 0, with gap = max(top, min(reach,
+    longest)) empty positions before, between and after them.  Returns
+    those digits, the kernel's table at 0..top, so that ``table[digits]`` is
+    each segment's local relevance, each segment position's place on the
+    line (int64) and the gap.  One ``searchsorted`` serves every segment:
+    another segment's occurrence, or a bound, lies more than gap >= top
+    away, so it can only be nearest where the clipped distance is top
+    anyway.  Clipping is exact: every shape is 0 at k and beyond, and no
+    distance inside a segment reaches its n.  ``reach`` widens the gaps for
+    the rbf row, whose windows reach min(reach, longest) positions to each
+    side.  ``top`` is taken in Python, so any k works.
     """
     lengths = [doc.n for doc, _ in segments]
     occurrences = [positions_of(doc, stem) for doc, stem in segments]
     longest, total, count = max(lengths), sum(lengths), len(segments)
-    bounds = [-longest]
+    top = min(kernel.k, longest)
+    gap = max(top, min(reach, longest))
+    bounds = [-gap - 1]
     for found in occurrences:
         bounds += found
-    bounds.append(total + count * longest)
+    bounds.append(total + count * gap)
     bounds = np.array(bounds, dtype=np.int64)
     xs = np.arange(total, dtype=np.int64)
     if count > 1:
-        # segment s moves s * longest along the line, past the gaps before it
-        xs += np.arange(0, count * longest, longest).repeat(lengths)
+        # segment s moves s * gap along the line, past the gaps before it
+        xs += np.arange(0, count * gap, gap).repeat(lengths)
         # and its occurrences move with its first position
         firsts = xs[list(accumulate(lengths[:-1], initial=0))]
         bounds[1:-1] += firsts.repeat(list(map(len, occurrences)))
@@ -151,9 +156,8 @@ def _segment_digits(
     after = bounds[after]
     np.subtract(after, xs, out=after)
     np.minimum(distance, after, out=distance)
-    top = min(kernel.k, longest)
     np.minimum(distance, top, out=distance)
-    return distance, _kernel_table(kernel.shape, kernel.k, top + 1), lengths
+    return distance, _kernel_table(kernel.shape, kernel.k, top + 1), xs, gap
 
 
 def _term_profiles(segments: _Segments, kernel: InfluenceKernel) -> np.ndarray:
@@ -163,7 +167,7 @@ def _term_profiles(segments: _Segments, kernel: InfluenceKernel) -> np.ndarray:
     table of ``kernel.at``, so it is bit-identical to ``local_relevance`` by
     construction.
     """
-    digits, table, _ = _segment_digits(segments, kernel)
+    digits, table, _, _ = _segment_digits(segments, kernel)
     return table[digits]
 
 

@@ -19,16 +19,17 @@ scalar ``rbf_local_relevance`` (the unmemoised oracle) and the array path
 alike.  The array path is ``_rbf_term_profiles``, which profiles a block:
 a list of (document, stem) segments laid end to end, such as one leaf in
 the documents of a run that hold it (``proxcore._fold``), or the one
-segment of ``rbf_term_profile``.  Each segment's digits come from one shared
-``searchsorted`` (``proxcore._segment_digits``): a position's digit is its
-distance to the nearest occurrence in its own segment, clipped to top =
-min(k, longest segment), an index into the kernel's table of values.
-Digit d always stands for ``at(d)``, whatever the run.  The digits are
-stored in the smallest unsigned dtype that holds top + 1 (uint8 for every
-k below 255), and that dtype's largest value, never a table index, means
-"outside the segment".  A block's segments are written into one row of
-digits with kf' outside digits before, between and after them (kf' =
-min(kf, longest)), so no window reaches across a segment edge.  The row
+segment of ``rbf_term_profile``.  ``proxcore._segment_digits`` lays the
+segments out on one number line, gap = max(top, min(kf, longest segment))
+empty places apart, and gives each position its digit: its distance to
+the nearest occurrence in its own segment, clipped to top = min(k,
+longest segment), an index into the kernel's table of values.  Digit d
+always stands for ``at(d)``, whatever the run.  The digits are stored in
+the smallest unsigned dtype that holds top + 1 (uint8 for every k below
+255), and that dtype's largest value, never a table index, means "outside
+the segment".  The row of window digits is that line, its empty places
+outside digits, with kf' = min(kf, gap) more at each end; every gap holds
+at least kf' of them, so no window reaches across a segment edge.  The row
 needs no cut of its own: ``proxcore._similarities`` bounds a run's count
 times its longest segment by ``proxcore.RUN_POSITIONS``, so a row of wide
 windows between many short segments stays short too.  A window's key is
@@ -55,7 +56,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import chain
 from operator import add, itemgetter
 
 import numpy as np
@@ -196,36 +196,28 @@ def rbf_local_relevance(doc: PositionalDocument, term: str, x: int, cfg: RbfConf
 def _rbf_term_profiles(segments: _Segments, cfg: RbfConfig) -> np.ndarray:
     """``rbf_term_profile`` of each (document, stem) segment, laid end to end in one array.
 
-    Every stem must occur in its document.  The segments share one
-    ``searchsorted`` for their distance digits (``_segment_digits``), and
-    their digits go into one row with kf' "outside" digits before, between
-    and after them, so that no window reaches across a segment edge.  A
+    Every stem must occur in its document.  The row of window digits is
+    the number line of ``_segment_digits``, which lays the segments at
+    least kf' = min(kf, longest) "outside" digits apart, with kf' more at
+    each end, so that no window reaches across a segment edge.  A
     window whose values are all 0 has mu = sigma = 0 and a boost of exactly
     0.0, so only the windows holding a nonzero value besides their centre's
     are looked up in the window memo; the others keep their 0.0.
     """
-    digits, table, lengths = _segment_digits(segments, cfg.kernel)
+    digits, table, xs, gap = _segment_digits(segments, cfg.kernel, cfg.kf)
     base = table[digits]
     # every window is clipped to its segment, so any kf >= n gives the same
-    # windows; capping it keeps the row as short as ``proxcore.RUN_POSITIONS``
-    # allows and the index sums inside int64
-    kf = min(cfg.kf, max(lengths))
+    # windows; kf' = min(kf, gap) = min(kf, longest) fits in every gap of the line
+    kf = min(cfg.kf, gap)
     dtype = np.min_scalar_type(len(table))
     geometry = (cfg.kernel.shape, cfg.kernel.k, dtype, cfg.threshold_scale)
     outside = (1 << 8 * dtype.itemsize) - 1  # the dtype's largest value
-    # ``real`` picks the segments' positions out of the row, and ``centres``
-    # the windows around them.  A lone segment, as when one document is
-    # scored, is one slice of the row and its windows are all the row's, so
-    # it needs neither.
-    lone = len(lengths) == 1
-    if lone:
-        real = slice(kf, kf + len(digits))
-    else:
-        real = np.zeros(2 * len(lengths) + 1, dtype=bool)
-        real[1::2] = True
-        real = real.repeat([kf, *chain.from_iterable((n, kf) for n in lengths)])
-        centres = np.flatnonzero(real[kf:-kf])
-    padded = np.full(len(digits) + (len(lengths) + 1) * kf, outside, dtype=dtype)
+    # the row is the line with kf outside digits added at each end, so a
+    # position's digit sits at xs + kf and the window around it is windows[xs];
+    # a lone segment, as when one document is scored, is one slice of the row
+    lone = len(segments) == 1
+    real = slice(kf, kf + len(digits)) if lone else xs + kf
+    padded = np.full(int(xs[-1]) + 1 + 2 * kf, outside, dtype=dtype)
     padded[real] = digits
     nonzero = np.zeros(len(padded), dtype=bool)
     nonzero[real] = base != 0.0
@@ -236,13 +228,13 @@ def _rbf_term_profiles(segments: _Segments, cfg: RbfConfig) -> np.ndarray:
     count = len(padded) - 2 * kf
     holds = seen[2 * kf + 1 :] - seen[:count] > nonzero[kf : kf + count]
     del nonzero, seen
-    live = np.flatnonzero(holds if lone else holds[centres])
+    live = np.flatnonzero(holds if lone else holds[xs])
     # windows[w] is padded[w : w + 2kf + 1], as a read-only view; the wanted
     # ones are copied out, their centres masked, and each row's bytes are its key
     width = 2 * kf + 1
     windows = np.ndarray((count, width), dtype, padded, strides=padded.strides * 2)
     windows.flags.writeable = False
-    keys = windows[live if lone else centres[live]]
+    keys = windows[live if lone else xs[live]]
     keys[:, kf] = outside
     keys = keys.view(f"V{width * keys.itemsize}").ravel().tolist()
     boosts = np.zeros(len(digits), dtype=np.float64)

@@ -35,7 +35,15 @@ from proxima.classify import (
 )
 from proxima.cli import main
 from proxima.posindex import Corpus, build_document, save_corpus
-from proxima.proxcore import KERNEL_SHAPES, InfluenceKernel, fold_query, has_terms, similarity, term_profile
+from proxima.proxcore import (
+    KERNEL_SHAPES,
+    InfluenceKernel,
+    fold_query,
+    has_terms,
+    local_relevance,
+    similarity,
+    term_profile,
+)
 from proxima.querylang import parse_query
 from proxima.rbfwin import RbfConfig, rbf_similarity, rbf_term_profile, window_stats
 from proxima.textprep import default_stemmer
@@ -198,6 +206,54 @@ def test_unknown_mode_raises_before_anything_is_scored(monkeypatch, mode):
     ):
         with pytest.raises(ValueError, match=f"unknown mode {mode!r}"):
             call()
+
+
+@st.composite
+def _segments(draw):
+    """1 to 6 (document, stem) segments of 1 to 40 positions; a stem is plain or a class."""
+    segments = []
+    for i in range(draw(st.integers(1, 6))):
+        stems = draw(st.lists(st.sampled_from(list("abcx")), min_size=1, max_size=40))
+        held = draw(st.sampled_from(sorted(set(stems))))
+        if draw(st.booleans()):
+            segments.append((build_document(f"d{i}", stems), held))
+        else:
+            others = draw(st.sets(st.sampled_from(list("abcyz")), max_size=3))
+            segments.append((build_document(f"d{i}", stems), tuple(sorted(others | {held}))))
+    return segments
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    segments=_segments(),
+    shape=st.sampled_from(KERNEL_SHAPES),
+    k=st.integers(1, 300),
+    reach=st.integers(0, 400),
+)
+def test_segments_lie_gap_apart_on_one_line(segments, shape, k, reach):
+    """``_segment_digits`` is the one layout of a block, in both modes.
+
+    Each segment's digits are those it has alone, and its positions follow
+    the one before after exactly gap = max(top, min(reach, longest)) empty
+    places, top = min(k, longest), the first at 0.
+    """
+    kernel = InfluenceKernel(shape, k)
+    digits, table, xs, gap = proxcore._segment_digits(segments, kernel, reach)
+    longest = max(doc.n for doc, _ in segments)
+    assert gap == max(min(k, longest), min(reach, longest))
+    assert len(table) == min(k, longest) + 1
+    alone = [proxcore._segment_digits([segment], kernel, reach)[0] for segment in segments]
+    assert digits.tolist() == np.concatenate(alone).tolist()
+    assert table[digits].tolist() == [
+        local_relevance(doc, stem, x, kernel) for doc, stem in segments for x in range(doc.n)
+    ]
+    # in order from 0, each segment's positions in a row, then gap empty places
+    expected, place = [], 0
+    for doc, _ in segments:
+        expected += range(place, place + doc.n)
+        place += doc.n + gap
+    assert xs.dtype == np.int64
+    assert xs.tolist() == expected
 
 
 QUERIES = st.recursive(
