@@ -123,13 +123,10 @@ def _segment_digits(
     longest)) empty positions before, between and after them.  Returns
     those digits, the kernel's table at 0..top, so that ``table[digits]`` is
     each segment's local relevance, each segment position's place on the
-    line (int64) and the gap.  One ``searchsorted`` serves every segment:
-    another segment's occurrence, or a bound, lies more than gap >= top
-    away, so it can only be nearest where the clipped distance is top
-    anyway.  Clipping is exact: every shape is 0 at k and beyond, and no
-    distance inside a segment reaches its n.  ``reach`` widens the gaps for
-    the rbf row, whose windows reach min(reach, longest) positions to each
-    side.  ``top`` is taken in Python, so any k works.
+    line (int64) and the gap.  One ``searchsorted`` serves every segment,
+    and clipping is exact (README's determinism notes).  ``reach`` widens
+    the gaps for the rbf row, whose windows reach min(reach, longest)
+    positions to each side.  ``top`` is taken in Python, so any k works.
     """
     lengths = [doc.n for doc, _ in segments]
     occurrences = [positions_of(doc, stem) for doc, stem in segments]

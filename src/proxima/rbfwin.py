@@ -13,42 +13,14 @@ occurrences, i.e. how deep inside the term's influence zone it sits.
 The window settings, ``RbfConfig``, are defined in ``kernels``, without
 numpy, and re-exported here.
 
-A window's boost depends only on its tuple of neighbor values and the band
-multiplier, and ``window_boost`` is the one function that sums it, for the
-scalar ``rbf_local_relevance`` (the unmemoised oracle) and the array path
-alike.  The array path is ``_rbf_term_profiles``, which profiles a block:
-a list of (document, stem) segments laid end to end, such as one leaf in
-the documents of a run that hold it (``proxcore._fold``), or the one
-segment of ``rbf_term_profile``.  ``proxcore._segment_digits`` lays the
-segments out on one number line, gap = max(top, min(kf, longest segment))
-empty places apart, and gives each position its digit: its distance to
-the nearest occurrence in its own segment, clipped to top = min(k,
-longest segment), an index into the kernel's table of values.  Digit d
-always stands for ``at(d)``, whatever the run.  The digits are stored in
-the smallest unsigned dtype that holds top + 1 (uint8 for every k below
-255), and that dtype's largest value, never a table index, means "outside
-the segment".  The row of window digits is that line, its empty places
-outside digits, with kf' = min(kf, gap) more at each end; every gap holds
-at least kf' of them, so no window reaches across a segment edge.  The row
-needs no cut of its own: ``proxcore._similarities`` bounds a run's count
-times its longest segment by ``proxcore.RUN_POSITIONS``, so a row of wide
-windows between many short segments stays short too.  A window's key is
-the bytes of its 2*kf' + 1 digits, its centre set to the outside digit.
-Documents repeat the same few windows over and over, so each key's boost
-is memoised per window geometry (kernel shape, k, digit dtype,
-multiplier) in a process-wide dict, which is cleared when its entries
-reach a fixed number of bytes (about 2 MB).  The memo is exact: a key is
-its window's digits, so it fixes the window's table values, and its
-length fixes the window's width.  A key missing from the memo is read
-back digit by digit, the outside digits are dropped, and the rest give
-exactly the tuple the scalar path builds, summed by the same
-``window_boost``; the same tuple always gives the same float.  So
-memoised and fresh boosts are bit-identical, and values on the band edge
-cannot flip, whatever block a window is scored in.  An all-zero window's
-boost is exactly 0.0, so such windows are not looked up at all, and a
-document whose query fails ``has_terms`` is not profiled.
-``window_stats`` adds left to right, as the builtin ``sum()`` does only
-before Python 3.12.
+``window_boost`` is the one scalar definition of a window's boost, and
+``rbf_local_relevance``, the unmemoised oracle, sums with it.
+``_rbf_term_profiles`` profiles a block of (document, stem) segments laid
+out on ``proxcore._segment_digits``' number line: each window is keyed by
+the bytes of its distance digits, its boost is memoised per window
+geometry in a process-wide dict of about 2 MB, and a call's misses are
+computed together by ``_batch_boosts``.  README's determinism notes say
+why memoised, batched and scalar boosts are the same floats.
 """
 
 from __future__ import annotations
@@ -56,10 +28,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import filterfalse, repeat
 from operator import add, itemgetter
 
 import numpy as np
 
+from . import proxcore
 from .kernels import RbfConfig
 from .posindex import PositionalDocument
 from .proxcore import (
@@ -94,10 +68,7 @@ _SQRT_TWO_PI = math.sqrt(2.0 * math.pi)
 # geometries; it is cleared when a lookup would take it past that.  An
 # entry is charged its key's length plus _ENTRY_BYTES for the bytes
 # object's header, the float and the dict slot (about 87-94 bytes measured
-# on CPython 3.11, for 11- and 401-byte keys).  So the memo holds 18,893
-# keys of a k=5, kf=5 window (11 bytes), more than the 5,007 distinct
-# windows of C5 (600 documents, seed 7) at the CLI's defaults, and 4,185
-# keys of a kf=200 window (401 bytes), about 2 MB of either.
+# on CPython 3.11, for 11- and 401-byte keys).
 _WINDOW_CACHE_SIZE = 2 << 20
 _ENTRY_BYTES = 100
 
@@ -196,13 +167,9 @@ def rbf_local_relevance(doc: PositionalDocument, term: str, x: int, cfg: RbfConf
 def _rbf_term_profiles(segments: _Segments, cfg: RbfConfig) -> np.ndarray:
     """``rbf_term_profile`` of each (document, stem) segment, laid end to end in one array.
 
-    Every stem must occur in its document.  The row of window digits is
-    the number line of ``_segment_digits``, which lays the segments at
-    least kf' = min(kf, longest) "outside" digits apart, with kf' more at
-    each end, so that no window reaches across a segment edge.  A
-    window whose values are all 0 has mu = sigma = 0 and a boost of exactly
-    0.0, so only the windows holding a nonzero value besides their centre's
-    are looked up in the window memo; the others keep their 0.0.
+    Every stem must occur in its document.  A window whose values are all 0
+    has a boost of exactly 0.0, so only the windows holding a nonzero value
+    besides their centre's are looked up in the window memo.
     """
     digits, table, xs, gap = _segment_digits(segments, cfg.kernel, cfg.kf)
     base = table[digits]
@@ -219,19 +186,20 @@ def _rbf_term_profiles(segments: _Segments, cfg: RbfConfig) -> np.ndarray:
     real = slice(kf, kf + len(digits)) if lone else xs + kf
     padded = np.full(int(xs[-1]) + 1 + 2 * kf, outside, dtype=dtype)
     padded[real] = digits
+    centre = base != 0.0
     nonzero = np.zeros(len(padded), dtype=bool)
-    nonzero[real] = base != 0.0
+    nonzero[real] = centre
     # window w is the one around padded position w + kf; seen[w + 2kf + 1] - seen[w]
-    # counts its nonzero values
+    # counts its nonzero values, and only the windows at xs are compared
     seen = np.zeros(len(padded) + 1, dtype=np.int64)
     np.cumsum(nonzero, out=seen[1:])
-    count = len(padded) - 2 * kf
-    holds = seen[2 * kf + 1 :] - seen[:count] > nonzero[kf : kf + count]
-    del nonzero, seen
-    live = np.flatnonzero(holds if lone else holds[xs])
+    width = 2 * kf + 1
+    counts = seen[width:] - seen[:-width]
+    live = np.flatnonzero((counts if lone else counts[xs]) > centre)
+    del nonzero, seen, counts
     # windows[w] is padded[w : w + 2kf + 1], as a read-only view; the wanted
     # ones are copied out, their centres masked, and each row's bytes are its key
-    width = 2 * kf + 1
+    count = len(padded) - 2 * kf
     windows = np.ndarray((count, width), dtype, padded, strides=padded.strides * 2)
     windows.flags.writeable = False
     keys = windows[live if lone else xs[live]]
@@ -252,13 +220,9 @@ def rbf_term_profile(doc: PositionalDocument, term: str, cfg: RbfConfig) -> np.n
 
 
 def _window_boosts(keys: list[bytes], geometry: tuple, table: np.ndarray):
-    """``window_boost`` of each key's window, from the memo.
+    """``window_boost`` of each key's window, from the memo; ``_batch_boosts`` computes its misses.
 
-    A key missing from the memo is read back as its digits, and its
-    neighbours' table values, outside digits dropped, are exactly the tuple
-    the scalar path builds; ``window_boost`` sums it, so a memoised boost is
-    the same float as a fresh one.  The memo is cleared whenever adding
-    this call's new keys would take its bytes past the cap.
+    The memo is cleared whenever adding them would take its bytes past the cap.
     """
     if not keys:
         return []
@@ -273,20 +237,56 @@ def _window_boosts(keys: list[bytes], geometry: tuple, table: np.ndarray):
     except KeyError:
         pass
     entry = len(keys[0]) + _ENTRY_BYTES  # a call's windows all have one width
-    missing = set(keys).difference(memo)
+    missing = set(filterfalse(memo.__contains__, keys))
     if sum(map(_CHARGED.__getitem__, _WINDOWS)) + entry * len(missing) > _WINDOW_CACHE_SIZE:
         _WINDOWS.clear()
         memo = _WINDOWS[geometry] = {}
         missing = set(keys)
         _CHARGED[geometry] = 0
     _CHARGED[geometry] += entry * len(missing)
+    missing = list(missing)
+    memo.update(zip(missing, _batch_boosts(missing, geometry, table)))
+    return lookup(memo)
+
+
+def _batch_boosts(keys: list[bytes], geometry: tuple, table: np.ndarray) -> list[float]:
+    """``window_boost`` of each key's window, as the same floats, computed for all keys at once.
+
+    Every window must hold a digit besides its outside ones.  README's
+    determinism notes say why each step rounds as ``window_boost``'s does.
+    """
     dtype, threshold_scale = geometry[2], geometry[3]
     outside = (1 << 8 * dtype.itemsize) - 1
-    values = table.tolist()
-    for key in missing:
-        digits = memoryview(key).cast(dtype.char)
-        memo[key] = window_boost(tuple(values[d] for d in digits if d != outside), threshold_scale)
-    return lookup(memo)
+    gather = np.append(table, 0.0)  # an outside digit reads +0.0
+    width = len(keys[0]) // dtype.itemsize
+    step = max(1, proxcore.RUN_POSITIONS // width)  # so wide windows' misses stay small
+    boosts = []
+    for start in range(0, len(keys), step):
+        # row i holds neighbour i of every window, so reducing the rows adds
+        # each window's values left to right, as window_stats does
+        digits = np.frombuffer(b"".join(keys[start : start + step]), dtype).reshape(-1, width).T.copy()
+        inside = digits != outside
+        values = gather[np.minimum(digits, len(table))]
+        n = np.count_nonzero(inside, axis=0)
+        mu = reduce(add, values, 0.0) / n
+        deviations = values - mu
+        distances = np.abs(deviations)
+        squares = np.zeros_like(values)
+        # |d| ** 2.0 is what float ** 2 hands the libm pow, for any d
+        wanted = distances[inside]
+        squares[inside] = np.fromiter(map(math.pow, wanted.tolist(), repeat(2.0)), np.float64, len(wanted))
+        sigma = np.sqrt(reduce(add, squares, 0.0) / n)
+        kept = inside & (distances <= threshold_scale * sigma)
+        # sigma 0 is the point mass: value * 1.0 where value == mu, else + 0.0
+        point = sigma == 0.0
+        terms = np.where(kept & point & (values == mu), values, 0.0)
+        dense = kept & ~point
+        spread = np.broadcast_to(sigma, values.shape)[dense]
+        z = deviations[dense] / spread
+        densities = np.fromiter(map(math.exp, (-0.5 * z * z).tolist()), np.float64, len(z))
+        terms[dense] = values[dense] * (densities / (spread * _SQRT_TWO_PI))
+        boosts += reduce(add, terms, 0.0).tolist()
+    return boosts
 
 
 def rbf_eval_query_at(doc: PositionalDocument, node: QueryNode, x: int, cfg: RbfConfig) -> float:

@@ -388,6 +388,27 @@ def test_a_window_keeps_its_key_in_a_longer_run():
     assert entries([short, wide]).keys() == {"uint16"}
 
 
+@pytest.mark.parametrize("shape", KERNEL_SHAPES)
+def test_a_run_at_k_over_kf_gives_the_one_document_profiles(shape):
+    """At k = 100, kf = 5 the line's gaps are 100 places wide and a window 11.
+
+    Only the windows at the segments' places are compared against their
+    centres, and each value is the one its document's profile gives alone.
+    """
+    rng = random.Random(6)
+    segments = []
+    for i, n in enumerate((1, 7, 40, 130, 12, 260)):
+        stems = [rng.choice("abxyz") for _ in range(n)]
+        stems[rng.randrange(n)] = "a"
+        segments.append((build_document(f"d{i}", stems), "a"))
+    cfg = RbfConfig(InfluenceKernel(shape, 100), 5)
+    rbfwin._WINDOWS.clear()
+    run = rbfwin._rbf_term_profiles(segments, cfg)
+    rbfwin._WINDOWS.clear()
+    alone = np.concatenate([rbf_term_profile(doc, stem, cfg) for doc, stem in segments])
+    assert [v.hex() for v in run.tolist()] == [v.hex() for v in alone.tolist()]
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_memory_does_not_grow_with_leaves(mode):
     """A long document's fold holds a few rows at a time, whatever its number of leaves."""

@@ -10,6 +10,11 @@ its stdout.  The float-level digests pin ``float.hex`` of the library's rbf
 ``classify`` scores and of every ``rbf_term_profile`` value on the same
 corpus under the same four settings.
 
+Each setting starts from an empty window memo, so every rbf window is
+computed by the batched form whatever order the tests run in, and the same
+outputs made again at once, with every window a memo hit, must be the same
+bytes.
+
 The index digest pins the corpus file `proxima index` writes for a fixed set
 of raw Arabic texts, so the text preparation it runs stays byte-identical.
 """
@@ -20,6 +25,7 @@ import io
 
 import pytest
 
+from proxima import rbfwin
 from proxima.classify import classify, load_categories
 from proxima.cli import build_parser, main, resolve_config
 from proxima.posindex import load_corpus
@@ -111,7 +117,20 @@ def golden_files(root):
     return corpus, cats, queries
 
 
-def golden_outputs(root) -> dict[tuple[str, str, str], str]:
+def _settings(warm: bool):
+    """Each (setting, flags) of ``SETTINGS``, the window memo emptied before it.
+
+    With ``warm`` each is yielded twice in a row, so outputs keyed by setting
+    keep the second pass, made with the memo the first one filled.
+    """
+    for setting, flags in SETTINGS.items():
+        rbfwin._WINDOWS.clear()
+        rbfwin._CHARGED.clear()
+        for _ in range(1 + warm):
+            yield setting, flags
+
+
+def golden_outputs(root, warm: bool = False) -> dict[tuple[str, str, str], str]:
     """Every pinned stdout, keyed by (setting, mode, command), made under directory ``root``."""
     corpus, cats, queries = golden_files(root)
     args = {
@@ -121,7 +140,7 @@ def golden_outputs(root) -> dict[tuple[str, str, str], str]:
     }
     return {
         (setting, mode, command): _stdout([command, *args[command], "--mode", mode, *flags])
-        for setting, flags in SETTINGS.items()
+        for setting, flags in _settings(warm)
         for mode in ("standard", "rbf")
         for command in COMMANDS
     }
@@ -154,7 +173,7 @@ FLOAT_DIGESTS = {
 }
 
 
-def float_outputs(root) -> dict[tuple[str, str], str]:
+def float_outputs(root, warm: bool = False) -> dict[tuple[str, str], str]:
     """``float.hex`` lines of rbf scores and profiles, keyed by (setting, "classify" | "profile").
 
     The profiles cover every leaf of every category query and of the query
@@ -167,7 +186,7 @@ def float_outputs(root) -> dict[tuple[str, str], str]:
     nodes += [parse_query(line) for line in QUERIES.splitlines()]
     leaves = [step for node in nodes for step in query_plan(node) if isinstance(step, tuple)]
     outputs = {}
-    for setting, flags in SETTINGS.items():
+    for setting, flags in _settings(warm):
         argv = ["classify", str(corpus_path), "--categories", str(cats), *flags]
         cfg = resolve_config(build_parser().parse_args(argv)).rbf_config()
         scores, profiles = [], []
@@ -195,6 +214,13 @@ def test_floats_match_golden_digest(floats, key):
 
 def test_every_float_output_is_pinned(floats):
     assert sorted(floats) == sorted(FLOAT_DIGESTS)
+
+
+def test_a_warm_memo_gives_the_same_bytes(outputs, floats, tmp_path):
+    for name in ("stdout", "floats"):
+        (tmp_path / name).mkdir()
+    assert golden_outputs(tmp_path / "stdout", warm=True) == outputs
+    assert float_outputs(tmp_path / "floats", warm=True) == floats
 
 
 # Raw Arabic text through `proxima index`: every folded character, digits of

@@ -115,17 +115,18 @@ def test_window_skipping_on_long_documents_with_rare_terms(monkeypatch, shape, c
     for position in (0, 3, 150, 151, 399):
         seq[position] = "rare"
     doc = build_document("d", seq)
-    looked_up = []
-    boost = rbfwin.window_boost
-    monkeypatch.setattr(rbfwin, "window_boost", lambda *a: looked_up.append(a) or boost(*a))
+    # the windows whose boosts are computed: the memo's misses, handed to the batched form
+    computed = []
+    batch = rbfwin._batch_boosts
+    monkeypatch.setattr(rbfwin, "_batch_boosts", lambda keys, *a: computed.extend(keys) or batch(keys, *a))
     for kf in (1, 5, 17):
         for threshold in (0.0, 1.0, 2.0):
             cfg = RbfConfig(InfluenceKernel(shape, 4), kf, threshold, clamp)
-            # a warm memo would answer every window without a call
+            # a warm memo would answer every window without computing one
             rbfwin._WINDOWS.clear()
-            looked_up.clear()
+            computed.clear()
             profile = rbf_term_profile(doc, "rare", cfg)
-            assert 0 < len(looked_up) < doc.n // 2
+            assert 0 < len(computed) < doc.n // 2
             scalar = [rbf_local_relevance(doc, "rare", x, cfg) for x in range(doc.n)]
             assert profile.tolist() == scalar
 

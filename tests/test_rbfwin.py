@@ -3,11 +3,13 @@
 import math
 import random
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
 
 import _reference as ref
-from proxima import rbfwin
+from proxima import proxcore, rbfwin
 from proxima.classify import evaluate, generate_synthetic_corpus, uniform_synthetic_spec
 from proxima.posindex import build_document
 from proxima.proxcore import KERNEL_SHAPES, InfluenceKernel, local_relevance, similarity
@@ -22,6 +24,7 @@ from proxima.rbfwin import (
     rbf_similarity,
     rbf_term_profile,
     semantic_neighbors,
+    window_boost,
     window_neighbor_relevances,
     window_stats,
 )
@@ -354,18 +357,140 @@ class TestWindowCodes:
         )
         corpus, models = generate_synthetic_corpus(spec, 7)
         config = RbfConfig(InfluenceKernel("triangular", 5), kf=5)
-        calls = []
-        boost = rbfwin.window_boost
+        computed = []
+        batch = rbfwin._batch_boosts
 
-        def counting(values, threshold_scale):
-            calls.append(values)
-            return boost(values, threshold_scale)
+        def counting(keys, geometry, table):
+            computed.extend(keys)
+            return batch(keys, geometry, table)
 
-        monkeypatch.setattr(rbfwin, "window_boost", counting)
+        monkeypatch.setattr(rbfwin, "_batch_boosts", counting)
         rbfwin._WINDOWS.clear()
         first = evaluate(corpus, models, config, "rbf")
-        # one call per distinct window: nothing was cleared
-        assert len(calls) == sum(map(len, rbfwin._WINDOWS.values())) > 4096
-        calls.clear()
+        # one computed boost per distinct window: nothing was cleared
+        assert len(computed) == sum(map(len, rbfwin._WINDOWS.values())) > 4096
+        computed.clear()
         assert evaluate(corpus, models, config, "rbf") == first
-        assert calls == []
+        assert computed == []
+
+    def test_the_memo_charges_what_it_holds(self, monkeypatch):
+        """Each entry costs its key's length plus ``_ENTRY_BYTES``, also after a clear at the cap."""
+        config = RbfConfig(InfluenceKernel("triangular", 5), 5)
+        short, wide = self._documents()[-2:]
+
+        def held():
+            ((geometry, memo),) = rbfwin._WINDOWS.items()
+            (width,) = set(map(len, memo))
+            assert rbfwin._CHARGED[geometry] == len(memo) * (width + rbfwin._ENTRY_BYTES)
+            return geometry, dict(memo)
+
+        rbfwin._WINDOWS.clear()
+        self._assert_exact(short, "a", config)
+        geometry, _ = held()
+        # the next call's misses would pass the cap, so the memo is cleared and
+        # then holds that call's windows alone
+        monkeypatch.setattr(rbfwin, "_WINDOW_CACHE_SIZE", rbfwin._CHARGED[geometry] + 1)
+        self._assert_exact(wide, "a", config)
+        _, after = held()
+        rbfwin._WINDOWS.clear()
+        rbf_term_profile(wide, "a", config)
+        assert held() == (geometry, after)
+        # one call's misses alone pass the cap: every boost is still returned
+        monkeypatch.setattr(rbfwin, "_WINDOW_CACHE_SIZE", 1)
+        rbfwin._WINDOWS.clear()
+        self._assert_exact(wide, ("a", "b"), config)
+        held()
+
+
+@st.composite
+def _window_batches(draw):
+    """Windows of one width as ``_rbf_term_profiles`` keys them, with their geometry and table.
+
+    A batch holds 200 windows of random digits, so that the rare
+    inputs where two roundings part (``y * y`` against ``y ** 2`` parts on
+    about 1 in 1,000) come up.  A window may be cut at a segment edge
+    (outside digits at one end), hold one digit throughout (sigma 0) or one
+    neighbour only.  k >= 255 gives tables of more than 255 values and two
+    bytes a digit.
+    """
+    shape = draw(st.sampled_from(KERNEL_SHAPES))
+    k = draw(st.one_of(st.integers(1, 12), st.integers(255, 300)))
+    top = draw(st.integers(1, k))
+    table = proxcore._kernel_table(shape, k, top + 1)
+    dtype = np.min_scalar_type(len(table))
+    outside = int(np.iinfo(dtype).max)
+    kf = draw(st.integers(1, 12))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    windows = []
+    for _ in range(200):
+        left = rng.randint(1, kf) if rng.random() < 0.3 else 0
+        right = min(rng.randint(1, kf) if rng.random() < 0.3 else 0, 2 * kf - 1 - left)
+        inside = 2 * kf - left - right
+        if rng.random() < 0.2:
+            digits = [rng.randint(0, top)] * inside
+        else:
+            digits = [rng.randint(0, top) for _ in range(inside)]
+        cut = kf - left
+        windows.append([outside] * left + digits[:cut] + [outside] + digits[cut:] + [outside] * right)
+    threshold = draw(st.sampled_from([0.0, 1.0, 2.0, 0.5]))
+    return (shape, k, dtype, threshold), table, windows
+
+
+class TestBatchedBoosts:
+    """``_batch_boosts`` gives each window the float ``window_boost`` sums for it."""
+
+    @staticmethod
+    def _scalar(geometry, table, windows) -> list[str]:
+        outside = np.iinfo(geometry[2]).max
+        values = table.tolist()
+        return [
+            window_boost(tuple(values[d] for d in row if d != outside), geometry[3]).hex()
+            for row in windows
+        ]
+
+    @staticmethod
+    def _batched(geometry, table, windows) -> list[str]:
+        keys = [np.array(row, geometry[2]).tobytes() for row in windows]
+        return [boost.hex() for boost in rbfwin._batch_boosts(keys, geometry, table)]
+
+    @settings(max_examples=300, deadline=None)
+    @given(batch=_window_batches(), run=st.sampled_from([1, 40, proxcore.RUN_POSITIONS]))
+    def test_batched_boosts_are_the_scalar_floats(self, batch, run):
+        with pytest.MonkeyPatch.context() as patch:
+            # runs of 1 and 40 positions compute a batch one or a few windows at a time
+            patch.setattr(proxcore, "RUN_POSITIONS", run)
+            assert self._batched(*batch) == self._scalar(*batch)
+
+    def test_values_on_the_band_edge_keep_their_side(self):
+        """As many 1s as 0s: mu = sigma = 0.5, so every value sits exactly on the one-sigma edge."""
+        table = proxcore._kernel_table("rectangular", 3, 4)
+        windows = [[0, 3, 255, 3, 0], [3, 1, 255, 2, 3], [255, 0, 255, 3, 255], [3, 0, 255, 0, 3]]
+        for row in windows:
+            stats = window_stats(table[d] for d in row if d != 255)
+            assert (stats.mu, stats.sigma) == (0.5, 0.5)
+        boosts = {}
+        for threshold in (1.0, math.nextafter(1.0, 0.0), 2.0, 0.0):
+            geometry = ("rectangular", 3, np.dtype(np.uint8), threshold)
+            boosts[threshold] = self._batched(geometry, table, windows)
+            assert boosts[threshold] == self._scalar(geometry, table, windows)
+        # on the edge every value is kept; a band one ulp narrower keeps none
+        assert boosts[1.0] == boosts[2.0] != boosts[math.nextafter(1.0, 0.0)] == boosts[0.0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        docs=st.lists(st.lists(st.sampled_from("abxy"), min_size=1, max_size=30), min_size=1, max_size=5),
+        shape=st.sampled_from(KERNEL_SHAPES),
+        k=st.integers(1, 12),
+        kf=st.integers(1, 12),
+        threshold=st.sampled_from([0.0, 1.0, 2.0]),
+        clamp=st.booleans(),
+    )
+    def test_a_cold_run_gives_the_scalar_floats(self, docs, shape, k, kf, threshold, clamp):
+        """A run of documents from an empty memo, its windows cut at every segment edge."""
+        segments = [(build_document(f"d{i}", stems), "a") for i, stems in enumerate(docs) if "a" in stems]
+        assume(segments)
+        config = RbfConfig(InfluenceKernel(shape, k), kf, threshold, clamp)
+        rbfwin._WINDOWS.clear()
+        profile = rbfwin._rbf_term_profiles(segments, config)
+        scalar = [rbf_local_relevance(doc, stem, x, config) for doc, stem in segments for x in range(doc.n)]
+        assert [v.hex() for v in profile.tolist()] == [v.hex() for v in scalar]
