@@ -152,6 +152,7 @@ def cmd_index(args: argparse.Namespace, cfg: RunConfig) -> int:
     stoplist = cfg.load_stoplist()
     stemmer = cfg.load_stemmer()
     corpus = Corpus()
+    indexed: set[str] = set()  # the names and stems a manifest entry can match
     for path in sorted(input_dir.glob("*.txt")):
         try:
             text = read_text(path)
@@ -160,12 +161,16 @@ def cmd_index(args: argparse.Namespace, cfg: RunConfig) -> int:
             continue
         label = manifest.get(path.name, manifest.get(path.stem))
         corpus.add(build_document(path.stem, preprocess(text, stoplist, stemmer)), label=label)
+        indexed.update((path.name, path.stem))
     if not corpus.documents:
         print(f"error: no documents indexed from {input_dir}", file=sys.stderr)
         return 1
+    for entry in manifest:
+        if entry not in indexed:  # a typo would otherwise leave its document unlabeled
+            print(f"warning: manifest entry {entry!r} matches no indexed file", file=sys.stderr)
     save_corpus(corpus, args.out)
     positions = sum(doc.n for doc in corpus)
-    distinct = len(set().union(*(doc.inverted for doc in corpus)))
+    distinct = len(set().union(*(doc.stems for doc in corpus)))
     print(
         f"indexed {len(corpus)} documents, {positions} term positions, "
         f"{distinct} distinct stems -> {args.out}"

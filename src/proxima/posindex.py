@@ -1,7 +1,8 @@
 """Positional documents, the term -> position-set map, and corpus persistence.
 
 A document is a sequence of stems indexed by position 0..N-1 together with
-the inverted view mapping each stem to its sorted occurrence positions.
+the inverted view mapping each stem to its sorted occurrence positions,
+built on first read, so a document that is never scored never builds it.
 Corpora persist as line-delimited UTF-8 (`#proxima-corpus v1` header,
 one `doc_id<TAB>label<TAB>stems` record per document).
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -34,11 +36,18 @@ _UNLABELED = "-"
 
 @dataclass(frozen=True)
 class PositionalDocument:
-    """A stem sequence plus its inverted position map (treat both as read-only)."""
+    """A stem sequence plus its position map, built on first read (treat both as read-only)."""
 
     doc_id: str
     stems: tuple[str, ...]
-    inverted: dict[str, list[int]]
+
+    @cached_property
+    def inverted(self) -> dict[str, list[int]]:
+        """Each stem -> its sorted positions, keyed in order of first occurrence."""
+        inverted: dict[str, list[int]] = {}
+        for position, stem in enumerate(self.stems):
+            inverted.setdefault(stem, []).append(position)
+        return inverted
 
     @property
     def n(self) -> int:
@@ -47,12 +56,8 @@ class PositionalDocument:
 
 
 def build_document(doc_id: str, stems: Iterable[str]) -> PositionalDocument:
-    """Index a stem sequence into a positional document."""
-    stems = tuple(stems)
-    inverted: dict[str, list[int]] = {}
-    for position, stem in enumerate(stems):
-        inverted.setdefault(stem, []).append(position)
-    return PositionalDocument(doc_id=doc_id, stems=stems, inverted=inverted)
+    """A positional document over a stem sequence; its map waits for its first read."""
+    return PositionalDocument(doc_id=doc_id, stems=tuple(stems))
 
 
 _NO_POSITIONS: list[int] = []
@@ -63,9 +68,10 @@ def positions_of(doc: PositionalDocument, term: str | tuple[str, ...]) -> list[i
 
     A tuple of stems is a class: its positions are its members', merged.
     """
+    inverted = doc.inverted
     if isinstance(term, str):
-        return doc.inverted.get(term, _NO_POSITIONS)
-    return sorted(chain.from_iterable(doc.inverted.get(stem, _NO_POSITIONS) for stem in term))
+        return inverted.get(term, _NO_POSITIONS)
+    return sorted(chain.from_iterable(inverted.get(stem, _NO_POSITIONS) for stem in term))
 
 
 @dataclass

@@ -290,8 +290,11 @@ def _fold(docs: list[PositionalDocument], node: QueryNode, profiles, settings) -
     def leaf(stem, settings):
         # a loop, not a comprehension, which costs a call per leaf before Python 3.12
         segments = []
+        holds = []
         for doc in docs:
-            if _occurs(doc, stem):
+            held = _occurs(doc, stem)
+            holds.append(held)
+            if held:
                 segments.append((doc, stem))
         if not segments:
             return None
@@ -300,7 +303,7 @@ def _fold(docs: list[PositionalDocument], node: QueryNode, profiles, settings) -
             return values
         # each holder's values go to its own place in the run
         row = np.zeros(sum(doc.n for doc in docs), dtype=np.float64)
-        row[np.repeat([_occurs(doc, stem) for doc in docs], [doc.n for doc in docs])] = values
+        row[np.repeat(holds, [doc.n for doc in docs])] = values
         return row
 
     values = fold_query(node, leaf, settings, merged=profiles is _term_profiles)

@@ -53,6 +53,24 @@ class TestIndex:
         assert "d1\tlib\t" in body
         assert "d3\t-\t" in body
 
+    def test_unmatched_manifest_entries_warn(self, capsys, tiny_corpus, tmp_path):
+        docs, corpus = tiny_corpus
+        manifest = tmp_path / "labels.tsv"
+        manifest.write_text("d1.txt\tlib\nd2\tread\n", encoding="utf-8")
+        clean = run(capsys, "index", str(docs), "--out", str(corpus), "--manifest", str(manifest))
+        clean_bytes = corpus.read_bytes()
+        # d1 by name and d2 by stem match; the typos d4.txt and d1.text do not
+        manifest.write_text("d1.txt\tlib\nd4.txt\tx\nd2\tread\nd1.text\ty\n", encoding="utf-8")
+        code, out, err = run(
+            capsys, "index", str(docs), "--out", str(corpus), "--manifest", str(manifest)
+        )
+        assert (code, out) == clean[:2] and clean[2] == ""
+        assert err.splitlines() == [
+            "warning: manifest entry 'd4.txt' matches no indexed file",
+            "warning: manifest entry 'd1.text' matches no indexed file",
+        ]
+        assert corpus.read_bytes() == clean_bytes
+
     def test_stemmer_affix_that_normalizes_to_nothing_exits_2(self, capsys, tiny_corpus, tmp_path):
         docs, corpus = tiny_corpus
         rules = tmp_path / "rules.txt"

@@ -7,6 +7,8 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+from proxima.classify import CategoryModel, evaluate
+from proxima.kernels import InfluenceKernel, RbfConfig
 from proxima.posindex import (
     CORPUS_HEADER,
     Corpus,
@@ -53,6 +55,46 @@ class TestBuildDocument:
         doc = build_document("d", stems)
         seen = sorted(p for ps in doc.inverted.values() for p in ps)
         assert seen == list(range(doc.n))
+
+
+class TestMapOnFirstRead:
+    def test_no_constructor_builds_the_map(self, tmp_path):
+        corpus = Corpus()
+        corpus.add(build_document("d1", ["a", "b", "a"]), label="x")
+        corpus.add(build_document("d2", []))
+        save_corpus(corpus, tmp_path / "c.tsv")
+        loaded = load_corpus(tmp_path / "c.tsv")
+        for doc in [*corpus, *loaded]:
+            assert "inverted" not in vars(doc)
+
+    @given(st.lists(st.text(min_size=1, max_size=2), max_size=40))
+    def test_the_map_is_the_eager_one(self, stems):
+        eager: dict[str, list[int]] = {}
+        for position, stem in enumerate(stems):
+            eager.setdefault(stem, []).append(position)
+        doc = build_document("d", stems)
+        inverted = doc.inverted
+        assert list(inverted.items()) == list(eager.items())  # the same key order too
+        assert doc.inverted is inverted
+
+    def test_equal_documents_compare_and_hash_equal(self):
+        first, second = build_document("d", ["a", "b"]), build_document("d", ("a", "b"))
+        assert first.inverted == {"a": [0], "b": [1]}  # one map built, the other not
+        assert first == second and hash(first) == hash(second)
+        assert first != build_document("d", ["b", "a"]) and first != build_document("e", ["a", "b"])
+
+    @pytest.mark.parametrize("mode", ["standard", "rbf"])
+    def test_evaluate_builds_the_labeled_maps_only(self, mode):
+        corpus = Corpus()
+        corpus.add(build_document("l1", ["a", "b", "a"]), label="x")
+        corpus.add(build_document("u1", ["a", "b", "c"]))
+        corpus.add(build_document("l2", ["c", "c", "b"]), label="y")
+        corpus.add(build_document("u2", ["c"]))
+        categories = [CategoryModel("x", frozenset({"a"})), CategoryModel("y", frozenset({"c"}))]
+        cfg = RbfConfig(InfluenceKernel("triangular", 3), kf=2)
+        assert evaluate(corpus, categories, cfg, mode).confusion == ((1, 0), (0, 1))
+        built = {doc.doc_id for doc in corpus if "inverted" in vars(doc)}
+        assert built == {"l1", "l2"}
 
 
 class TestPositionsOf:
