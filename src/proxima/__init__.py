@@ -8,9 +8,12 @@ folds the relevance of a position's semantic neighborhood back into its own
 relevance before aggregation.
 
 The names from ``proxcore`` and ``rbfwin``, the two modules that import
-numpy, are resolved when first read (``_LAZY``, PEP 562), so importing the
-package, or running ``proxima index`` or ``proxima gen-synth``, loads
-neither.  ``from proxima import similarity`` works as before.
+numpy, and from the query parser ``querylang`` are resolved when first
+read (``_LAZY``, PEP 562), so importing the package, or running ``proxima
+index`` or ``proxima gen-synth``, loads none of the three.  ``from proxima
+import similarity`` works as before.  ``classify`` stays eager: the
+package's ``classify`` is the function, which a lazily imported
+submodule of that name would replace.
 """
 
 import importlib
@@ -39,7 +42,6 @@ from .posindex import (
     positions_of,
     save_corpus,
 )
-from .querylang import And, Near, Or, QueryParseError, Term, parse_query, render_query
 from .textprep import (
     LightStemmer,
     light_stem,
@@ -62,6 +64,9 @@ _LAZY = {
         ("WindowStats", "gaussian_rbf", "rbf_local_relevance", "rbf_similarity",
          "semantic_neighbors", "window_boost", "window_neighbor_relevances", "window_stats"),
         "rbfwin",
+    ),
+    **dict.fromkeys(
+        ("And", "Near", "Or", "QueryParseError", "Term", "parse_query", "render_query"), "querylang"
     ),
 }
 

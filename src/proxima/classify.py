@@ -46,11 +46,10 @@ from dataclasses import dataclass, field
 from functools import cache, cached_property, reduce
 from operator import add
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
 from .kernels import RbfConfig
 from .posindex import Corpus, PositionalDocument, build_document, write_text_atomic
-from .querylang import Or, QueryNode, Term
 from .textprep import (
     LightStemmer,
     check_field,
@@ -59,6 +58,9 @@ from .textprep import (
     read_settings,
     stem_to_fixpoint,
 )
+
+if TYPE_CHECKING:
+    from .querylang import QueryNode
 
 __all__ = [
     "CategoryModel",
@@ -146,6 +148,8 @@ def category_query(model: CategoryModel) -> QueryNode:
     level, so n descriptors give a tree of depth ceil(log2 n); max is exact,
     so the shape does not change a score.
     """
+    from .querylang import Or, Term
+
     classes = sorted(_equivalents_by_descriptor(model).items())
     nodes: list[QueryNode] = [Term((d, *eqs) if eqs else d) for d, eqs in classes]
     while len(nodes) > 1:

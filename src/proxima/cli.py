@@ -12,7 +12,8 @@ This module imports nothing that needs numpy.  ``RunConfig`` checks the
 scoring settings with the scalar classes of ``kernels``, and ``classify``
 imports ``proxcore`` and ``rbfwin`` only where it scores, so ``index``,
 ``gen-synth``, ``--help`` and every usage or settings error run without
-loading numpy.
+loading numpy.  ``querylang`` is imported where a query is parsed or
+scored, so the first three load no parser either.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .classify import (
 )
 from .kernels import KERNEL_SHAPES, InfluenceKernel, RbfConfig
 from .posindex import Corpus, build_document, load_corpus, save_corpus
-from .querylang import parse_query
 from .textprep import (
     LightStemmer,
     default_stemmer,
@@ -184,6 +184,8 @@ def cmd_query(args: argparse.Namespace, cfg: RunConfig) -> int:
         return 2
     corpus = load_corpus(args.corpus)
     stemmer = cfg.load_stemmer()
+    from .querylang import parse_query
+
     if args.query is not None:
         queries = [(args.query, parse_query(args.query, stemmer))]
     else:

@@ -1,10 +1,12 @@
 """Influence kernels and RBF window settings, in scalar math only.
 
-``InfluenceKernel.at`` is the one definition of a kernel value, and
-``RbfConfig`` holds the window settings of the RBF boost.  Neither needs
-numpy, so ``cli.RunConfig`` checks every scoring setting for every command,
-``index`` and ``gen-synth`` too, without importing the scoring modules.
-``proxcore`` and ``rbfwin`` re-export these names.
+``InfluenceKernel.at`` is the one definition of a kernel value,
+``RbfConfig`` holds the window settings of the RBF boost, and
+``check_width`` is the rule for a kernel or NEAR width.  None of them
+needs numpy or the query parser, so ``cli.RunConfig`` checks every
+scoring setting for every command, ``index`` and ``gen-synth`` too,
+without importing the scoring modules or ``querylang``.  ``proxcore`` and
+``rbfwin`` re-export the kernel names, and ``querylang`` ``check_width``.
 """
 
 from __future__ import annotations
@@ -13,11 +15,23 @@ import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .querylang import check_width
-
-__all__ = ["KERNEL_SHAPES", "InfluenceKernel", "RbfConfig"]
+__all__ = ["KERNEL_SHAPES", "InfluenceKernel", "RbfConfig", "check_width"]
 
 KERNEL_SHAPES = ("triangular", "rectangular", "gaussian", "hanning")
+
+
+def check_width(width: int, what: str) -> None:
+    """Raise ValueError unless ``width`` is >= 1 and converts to a float.
+
+    Widths reach the kernel formulas as floats, so one above about 1.8e308
+    could not be used.  This is the rule for the kernel width and the NEAR width.
+    """
+    if width < 1:
+        raise ValueError(f"{what} must be >= 1, got {width}")
+    try:
+        float(width)
+    except OverflowError:
+        raise ValueError(f"{what} is too large to convert to a float") from None
 
 
 @dataclass(frozen=True)

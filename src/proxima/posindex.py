@@ -67,6 +67,9 @@ def positions_of(doc: PositionalDocument, term: str | tuple[str, ...]) -> list[i
     """Sorted occurrence positions of ``term`` in ``doc`` (empty if absent).
 
     A tuple of stems is a class: its positions are its members', merged.
+    The scalar oracles read it; profiles do not merge per document, but
+    sort all of a call's class occurrences at once
+    (``proxcore._segment_digits``).
     """
     inverted = doc.inverted
     if isinstance(term, str):

@@ -37,9 +37,9 @@ from functools import lru_cache
 
 import numpy as np
 
-from .kernels import KERNEL_SHAPES, InfluenceKernel
+from .kernels import KERNEL_SHAPES, InfluenceKernel, check_width
 from .posindex import PositionalDocument, positions_of
-from .querylang import And, Or, QueryNode, check_width, query_plan
+from .querylang import And, Or, QueryNode, query_plan
 
 __all__ = [
     "KERNEL_SHAPES",
@@ -127,15 +127,30 @@ def _segment_digits(
     and clipping is exact (README's determinism notes).  ``reach`` widens
     the gaps for the rbf row, whose windows reach min(reach, longest)
     positions to each side.  ``top`` is taken in Python, so any k works.
+
+    A class's occurrences are its members' lists joined end to end, not
+    merged per segment (``positions_of``); once every segment is on the
+    line, one sort of the whole array puts them in order.  Each segment
+    has its own stretch of the line and a document's positions are
+    distinct, so the sorted array is the one the merged lists give.
     """
     lengths = [doc.n for doc, _ in segments]
-    occurrences = [positions_of(doc, stem) for doc, stem in segments]
     longest, total, count = max(lengths), sum(lengths), len(segments)
     top = min(kernel.k, longest)
     gap = max(top, min(reach, longest))
     bounds = [-gap - 1]
-    for found in occurrences:
-        bounds += found
+    found: list[int] = []  # each segment's number of occurrences
+    classes = False
+    for doc, stem in segments:
+        inverted = doc.inverted
+        start = len(bounds)
+        if isinstance(stem, str):
+            bounds += inverted[stem]
+        else:
+            classes = True
+            for member in stem:
+                bounds += inverted.get(member, ())
+        found.append(len(bounds) - start)
     bounds.append(total + count * gap)
     bounds = np.array(bounds, dtype=np.int64)
     xs = np.arange(total, dtype=np.int64)
@@ -144,7 +159,9 @@ def _segment_digits(
         xs += np.arange(0, count * gap, gap).repeat(lengths)
         # and its occurrences move with its first position
         firsts = xs[list(accumulate(lengths[:-1], initial=0))]
-        bounds[1:-1] += firsts.repeat(list(map(len, occurrences)))
+        bounds[1:-1] += firsts.repeat(found)
+    if classes:
+        bounds.sort()
     # each position's distance to the bounds on either side, worked out in
     # place, since a block's arrays are its largest
     after = bounds.searchsorted(xs)

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Union
 
+from .kernels import check_width
 from .textprep import LightStemmer, stem_to_fixpoint
 
 __all__ = [
@@ -166,20 +167,6 @@ class QueryParseError(ValueError):
     def __init__(self, message: str, column: int):
         super().__init__(f"column {column}: {message}")
         self.column = column
-
-
-def check_width(width: int, what: str) -> None:
-    """Raise ValueError unless ``width`` is >= 1 and converts to a float.
-
-    Widths reach the kernel formulas as floats, so one above about 1.8e308
-    could not be used.  This is the rule for the kernel width and the NEAR width.
-    """
-    if width < 1:
-        raise ValueError(f"{what} must be >= 1, got {width}")
-    try:
-        float(width)
-    except OverflowError:
-        raise ValueError(f"{what} is too large to convert to a float") from None
 
 
 # Deepest parenthesis nesting parse_query accepts; the parser recurses four

@@ -7,10 +7,10 @@ The pipeline turns raw text into a position-indexed sequence of stems:
 Positions are assigned after filtering, so proximity distances downstream
 count content terms only.
 
-Every step runs in C over a whole text or a whole token list; Python runs
-once per text, and once per distinct token a stemmer has not seen.  Each
-fast form gives the same strings as the plain one (``tests/_reference.py``
-keeps the plain ones as oracles):
+Every step runs in C over a whole text, chunk or token list; Python runs
+once per text, once per whitespace chunk, and once per distinct token a
+stemmer has not seen.  Each fast form gives the same strings as the plain
+one (``tests/_reference.py`` keeps the plain ones as oracles):
 
 - The fold is one ``str.replace`` per ``_FOLD_TABLE`` entry, not a
   ``str.translate`` that looks each character up in a dict.  Every key is
@@ -20,7 +20,11 @@ keeps the plain ones as oracles):
   once folded, is returned after one ``isascii`` or one regex search.
 - Words are the runs of ``\w`` once each "_" reads as a space, which are
   the runs of ``[^\W_]``: "_" is the one word character that class leaves
-  out, and a space is no word character.  ``str.isdecimal`` is true for
+  out, and a space is no word character.  No whitespace character is
+  ``\w`` either, so the text is split on whitespace first, and a chunk
+  for which ``str.isalnum`` holds is one word whole: ``\w`` holds for a
+  character exactly when ``isalnum`` does or it is "_".  Only the other
+  chunks go through the regex.  ``str.isdecimal`` is true for
   exactly the tokens ``\d+`` matches whole: both test each character for
   the Unicode category Nd.
 - Stop words and stop stems are dropped by ``filterfalse`` over the set's
@@ -109,8 +113,18 @@ def normalize_text(text: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    """Split normalized text on whitespace/punctuation, dropping digit-only tokens."""
-    return list(filterfalse(str.isdecimal, _find_words(text.replace("_", " "))))
+    """Split normalized text on whitespace/punctuation, dropping digit-only tokens.
+
+    The text is split on whitespace first; a chunk of letters and digits
+    only is a word as it stands, and the regex runs on the other chunks.
+    """
+    words: list[str] = []
+    for chunk in text.replace("_", " ").split():
+        if chunk.isalnum():
+            words.append(chunk)
+        else:
+            words += _find_words(chunk)
+    return list(filterfalse(str.isdecimal, words))
 
 
 def remove_stopwords(tokens: Iterable[str], stoplist: frozenset[str] | set[str]) -> list[str]:

@@ -256,6 +256,18 @@ def test_segments_lie_gap_apart_on_one_line(segments, shape, k, reach):
     assert xs.tolist() == expected
 
 
+@pytest.mark.parametrize("reach", [0, 3])
+def test_interleaved_class_members_are_sorted_on_the_line(reach):
+    """A class whose members alternate: its lists joined end to end are out of order."""
+    kernel = InfluenceKernel("triangular", 2)
+    segments = [(build_document(f"d{i}", ["a", "b"] * (i + 2) + ["x"] * i), ("a", "b")) for i in range(4)]
+    digits, table, _, _ = proxcore._segment_digits(segments, kernel, reach)
+    assert digits.tolist() == [0] * 4 + [0] * 6 + [1] + [0] * 8 + [1, 2] + [0] * 10 + [1, 2, 2]
+    assert table[digits].tolist() == [
+        local_relevance(doc, stem, x, kernel) for doc, stem in segments for x in range(doc.n)
+    ]
+
+
 QUERIES = st.recursive(
     st.sampled_from(list("abcz")),
     lambda inner: st.one_of(

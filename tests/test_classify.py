@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 
 import _reference as ref
-from proxima import proxcore
+from proxima import proxcore, rbfwin
 from proxima.classify import (
     MODES,
     CategoryFormatError,
@@ -168,19 +168,20 @@ class TestClassLeaves:
         spec = uniform_synthetic_spec(3, 2, 4, docs_per_category=6, doc_length=40, cross_rate=0.3)
         corpus, models = generate_synthetic_corpus(spec, 5)
         merged = Counter()
-        merge = proxcore.positions_of
+        lay_out = proxcore._segment_digits
 
-        def counting(doc, stem):
-            if not isinstance(stem, str):
-                merged[doc.doc_id, stem] += 1
-            return merge(doc, stem)
+        def counting(segments, *args):
+            merged.update((doc.doc_id, stem) for doc, stem in segments if not isinstance(stem, str))
+            return lay_out(segments, *args)
 
-        monkeypatch.setattr(proxcore, "positions_of", counting)
+        # rbfwin calls the name it imported from proxcore
+        monkeypatch.setattr(proxcore, "_segment_digits", counting)
+        monkeypatch.setattr(rbfwin, "_segment_digits", counting)
         for doc in corpus:
             classify(doc, models, CFG, mode)
-        # a class leaf is present when one of its members is; an absent one is never merged.
+        # a class leaf is present when one of its members is; an absent one is never laid out.
         # Standard mode folds the merged plan, where each category is one class leaf
-        # of all its stems, so it merges once per (document, category) that holds one.
+        # of all its stems, so it lays out once per (document, category) that holds one.
         plans = [query_plan(model.query, merged=mode == "standard") for model in models]
         if mode == "standard":
             assert [len(plan) for plan in plans] == [1] * len(models)

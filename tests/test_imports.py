@@ -2,7 +2,8 @@
 
 ``index``, ``gen-synth``, ``--help`` and a rejected setting run in a fresh
 interpreter with ``src`` on the path, and must finish with numpy and the two
-scoring modules (``proxcore``, ``rbfwin``) still unimported.  A scoring
+scoring modules (``proxcore``, ``rbfwin``) still unimported; the first three
+leave the query parser (``querylang``) unimported too.  A scoring
 command imports them where it first scores, and prints what it printed
 in-process.
 """
@@ -21,21 +22,23 @@ ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "tests" / "data"
 SCORING = ("numpy", "proxima.proxcore", "proxima.rbfwin")
 
-# runs main() on its arguments, then prints the exit code and which of the
-# scoring modules the run imported as the last line of stdout
-RUNNER = f"""
+# runs main() on the arguments after its first, then prints the exit code and
+# which of the modules named by its first argument (a JSON list) the run
+# imported as the last line of stdout
+RUNNER = """
 import json, sys
 from proxima.cli import main
-code = main(sys.argv[1:])
-print(json.dumps({{"code": code, "loaded": [m for m in {SCORING!r} if m in sys.modules]}}))
+watched = json.loads(sys.argv[1])
+code = main(sys.argv[2:])
+print(json.dumps({"code": code, "loaded": [m for m in watched if m in sys.modules]}))
 """
 
 
-def run_fresh(*argv):
-    """(exit code, scoring modules loaded, stdout before the report, stderr) of ``main(argv)``."""
+def run_fresh(*argv, watched=SCORING):
+    """(exit code, ``watched`` modules loaded, stdout before the report, stderr) of ``main(argv)``."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, "-c", RUNNER, *map(str, argv)],
+        [sys.executable, "-c", RUNNER, json.dumps(watched), *map(str, argv)],
         capture_output=True, text=True, encoding="utf-8", env=env, timeout=120,
     )
     *out, last = result.stdout.splitlines()
@@ -66,6 +69,21 @@ def test_help_imports_no_numpy():
     code, loaded, stdout, _ = run_fresh("--help")
     assert (code, loaded) == (0, [])
     assert stdout.startswith("usage: proxima")
+
+
+def test_commands_that_parse_no_query_import_no_query_parser(tmp_path):
+    corpus = tmp_path / "press.tsv"
+    for argv in (
+        ("index", DATA / "press", "--out", corpus),
+        ("gen-synth", DATA / "synth-spec.txt", "--out-corpus", tmp_path / "synth.tsv",
+         "--out-categories", tmp_path / "cats.txt"),
+        ("--help",),
+    ):
+        code, loaded, _, _ = run_fresh(*argv, watched=(*SCORING, "proxima.querylang"))
+        assert (code, loaded) == (0, [])
+    # the check can see the parser: a query loads it
+    code, loaded, _, _ = run_fresh("query", corpus, "الأسواق", watched=("proxima.querylang",))
+    assert (code, loaded) == (0, ["proxima.querylang"])
 
 
 def test_rejected_setting_exits_2_without_numpy(tmp_path):

@@ -197,6 +197,14 @@ PIECES = st.sampled_from(
      "٢٠٢٤", "42", "۱۹", "४", "x²", "ab12", "_", " ", "\n", "،", ".", "«", "ـ", "\u064e", "\u0651"]
 )
 TEXTS = st.lists(PIECES | st.text(max_size=3), max_size=40).map("".join)
+# letters; "_"; whitespace that str.split cuts on, the C0 separators and
+# NEL among it; digits of three scripts and a superscript (alphanumeric but
+# not decimal); combining marks (no word characters); punctuation
+SPLIT_ALPHABET = st.sampled_from(
+    ["a", "b", "\u0643", "\u062a", "_", " ", "\t", "\n", "\x1c", "\x1d", "\x1e", "\x1f",
+     "\x85", "\xa0", "\u2028", "\u3000", "1", "\u0663", "\u06f1", "\xb2", "\u064e",
+     "\u0301", ".", ",", "\u060c", "\xab", "-"]
+)
 CUSTOM = LightStemmer(["و", "ال", "x"], ["ه", "ات", "2"])
 
 
@@ -229,6 +237,11 @@ class TestFastFormsMatchOracles:
 
     @given(TEXTS)
     def test_tokenize_on_text(self, text):
+        assert tokenize(text) == ref.tokenize(text)
+
+    @given(st.text(alphabet=SPLIT_ALPHABET, max_size=40))
+    def test_tokenize_on_whitespace_and_mixed_chunks(self, text):
+        """Chunks cut by every kind of whitespace, of words, digits, marks and punctuation."""
         assert tokenize(text) == ref.tokenize(text)
 
     @pytest.mark.parametrize("frozen", [True, False], ids=["frozenset", "set"])
