@@ -9,22 +9,21 @@ recall/precision/F1 and unweighted macro averages over top-1 predictions.
 
 ``evaluate``, ``proxima classify`` and ``proxima query`` score each query
 over all their documents at once (``mode_similarities``, and per category
-``classify_documents``), through ``proxcore._similarities``, which alone
-decides how the documents are cut into runs.  Each query is folded over a
-run's documents laid end to end, each leaf profiled in the documents that
-hold it as the fold reads it, and each document's similarity is the sum
-of its own slice of that fold, over its length.  That is the same
-float as scoring the document alone: the leaves' values are the same,
-absent leaves fold as exact zeros, and numpy sums a contiguous slice in
-the same order as a copy of it.
+``classify_documents`` in rbf mode), through ``proxcore._similarities``.
+Each query is folded over a run's documents laid end to end, and each
+document's similarity is the sum of its own slice of that fold, over its
+length: the same float as scoring the document alone (README's
+semantics notes).
 
-In standard mode a category's query is scored as one class leaf of all
-its descriptors and equivalents (``query_plan(query, merged=True)``): OR is
-a max and every kernel table is non-increasing, so the max over the
-descriptors is the table at the least distance to any of their stems,
-which is that leaf's value, float for float.  In rbf mode each
-descriptor's boost depends on its own windows, so each is profiled on
-its own.
+In standard mode a category's query is one class leaf of all its
+descriptors and equivalents (``CategoryModel.leaf``, from
+``query_plan(query, merged=True)``), which is exact because OR is a max and
+every kernel table is non-increasing.  So there ``classify_documents``
+profiles every (document, category) pair that can score in blocks, with
+no fold (``proxcore._leaf_similarities``), and ``classify(doc)`` is
+``classify_documents([doc])``.  In rbf mode each descriptor's boost
+depends on its own windows, so each is profiled on its own, and library
+``classify`` makes one ``rbf_similarity`` call per category.
 
 This module imports no numpy: ``proxcore`` and ``rbfwin`` are imported
 when a function first scores (``_scoring_module``), so ``proxima
@@ -130,6 +129,14 @@ class CategoryModel:
         """``category_query(self)``, built once per model so its plan is reused."""
         return category_query(self)
 
+    @cached_property
+    def leaf(self) -> str | tuple[str, ...]:
+        """The stem of the one leaf of ``query``'s merged plan, which standard mode scores."""
+        from .querylang import query_plan
+
+        [(stem, _)] = query_plan(self.query, merged=True)
+        return stem
+
 
 def _equivalents_by_descriptor(model: CategoryModel) -> dict[str, list[str]]:
     """Each descriptor's equivalent stems, sorted."""
@@ -171,21 +178,6 @@ def substitute_equivalents(doc: PositionalDocument, model: CategoryModel) -> Pos
     return build_document(doc.doc_id, map(table.get, doc.stems, doc.stems))
 
 
-def _mode_scorers(cfg: RbfConfig, mode: str):
-    """``mode``'s similarity of one pair, its block leaf profile, and the settings both read.
-
-    This is the one mode check: any mode but ``standard`` and ``rbf`` raises
-    ValueError here, before anything is scored.
-    """
-    if mode == "standard":
-        proxcore = _scoring_module("proxcore")
-        return proxcore.similarity, proxcore._term_profiles, cfg.kernel
-    if mode == "rbf":
-        rbfwin = _scoring_module("rbfwin")
-        return rbfwin.rbf_similarity, rbfwin._rbf_term_profiles, cfg
-    raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-
-
 @cache
 def _scoring_module(name: str):
     """The scoring module ``proxima.<name>``, imported on first use.
@@ -206,15 +198,16 @@ def classify(
 ) -> list[tuple[str, float]]:
     """Rank categories by similarity, highest first, ties by ascending name.
 
-    Each category is scored by the mode's one-document similarity
-    (``similarity`` or ``rbf_similarity``), which folds a run of this one
-    document.  ``classify_documents`` gives the same floats for many
-    documents at once.
+    In standard mode this is ``classify_documents([doc])``.  In rbf mode
+    each category is one ``rbf_similarity`` call, which folds a run of this
+    one document; ``classify_documents`` gives the same floats.
     """
+    if mode != "rbf":
+        return classify_documents([doc], categories, cfg, mode)[0]
     if not categories:
         raise ValueError("need at least one category")
-    score, _, settings = _mode_scorers(cfg, mode)
-    return rank_by_score((model.name, score(doc, model.query, settings)) for model in categories)
+    score = _scoring_module("rbfwin").rbf_similarity
+    return rank_by_score((model.name, score(doc, model.query, cfg)) for model in categories)
 
 
 def classify_documents(
@@ -223,17 +216,22 @@ def classify_documents(
     cfg: RbfConfig,
     mode: str = "standard",
 ) -> list[list[tuple[str, float]]]:
-    """``classify`` of each document, each category's query scored over all of them at once.
+    """``classify`` of each document, every category scored over all of them at once.
 
-    That is ``mode_similarities`` per category, which gives each document
-    the same floats as scoring it alone.  The mode is checked here.
+    In standard mode that is ``proxcore._leaf_similarities`` of the
+    categories' leaves, in rbf mode ``mode_similarities`` per category;
+    either gives each document the same floats as scoring it alone.
     """
     if not categories:
         raise ValueError("need at least one category")
     docs = list(docs)
+    if mode == "standard":
+        leaves = [model.leaf for model in categories]
+        rows = _scoring_module("proxcore")._leaf_similarities(docs, leaves, cfg.kernel)
+    else:
+        rows = zip(*[mode_similarities(docs, model.query, cfg, mode) for model in categories])
     names = [model.name for model in categories]
-    columns = [mode_similarities(docs, model.query, cfg, mode) for model in categories]
-    return [rank_by_score(zip(names, scores)) for scores in zip(*columns)]
+    return [rank_by_score(zip(names, row)) for row in rows]
 
 
 def mode_similarities(
@@ -241,9 +239,16 @@ def mode_similarities(
 ) -> list[float]:
     """The mode's similarity of each document, folded in runs (``proxcore._similarities``).
 
-    That is ``similarity`` in standard mode and ``rbf_similarity`` in rbf mode.
+    That is ``similarity`` in standard mode and ``rbf_similarity`` in rbf
+    mode.  This is the one mode check: any other mode raises ValueError
+    here, before anything is scored.
     """
-    _, profiles, settings = _mode_scorers(cfg, mode)
+    if mode == "standard":
+        profiles, settings = _scoring_module("proxcore")._term_profiles, cfg.kernel
+    elif mode == "rbf":
+        profiles, settings = _scoring_module("rbfwin")._rbf_term_profiles, cfg
+    else:
+        raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     return _scoring_module("proxcore")._similarities(docs, node, profiles, settings)
 
 

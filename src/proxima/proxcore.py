@@ -13,9 +13,11 @@ body, ``_fold``, folds a query over a run of documents laid end to end,
 profiling each leaf in the documents that hold it as the fold reads it:
 ``similarity`` and ``query_profile`` fold a run of one document, and
 ``_similarities`` scores many, as a classification pass or a ``proxima
-query`` does, with the same floats.  It is the one place that cuts
-documents into runs: at most ``RUN_POSITIONS`` positions per run, counted
-as if each of its documents were as long as its longest.
+query`` does, with the same floats.  A standard-mode category is one
+class leaf, so ``_leaf_similarities`` profiles every (document, category)
+pair that can score in blocks, unfolded.  Both cut their work with
+``_runs``: at most ``RUN_POSITIONS`` positions per run, counted as if each
+of its documents were as long as its longest.
 
 In standard mode, ``_fold`` reads every OR of two same-width leaves as
 one class leaf of their stems (``query_plan(node, merged=True)``), so a
@@ -56,20 +58,20 @@ __all__ = [
     "similarity",
 ]
 
-# ``_similarities`` cuts the documents it scores into runs of count documents
-# with count * longest <= RUN_POSITIONS (a document that breaks the bound
-# alone is a run of its own).  That one bound keeps a run's largest array
+# ``_runs`` cuts the documents ``_similarities`` scores, and the segments
+# ``_leaf_similarities`` lays out, into runs of count of them with count *
+# longest <= RUN_POSITIONS.  That one bound keeps a run's largest array
 # small: the number line of ``_segment_digits``, which puts segments at most
 # ``longest`` apart and which the rbf row reuses, is at most about
 # 2 * RUN_POSITIONS + longest long.  A fold holds a few rows over its run at
-# a time, whatever the number of
-# leaves.  Larger runs make fewer profile calls per leaf.  On the three
-# benchmark workloads' corpora (2-core VM, Python 3.11.7, numpy 2.4.6), runs
-# of 2**13 positions scored 1.2x to 2.5x as fast as 2**9, and 2**14 and
-# 2**15 no faster; a C5 `evaluate` pass's traced peak was 0.4-0.6 MB,
-# against 0.03-0.05 MB at 2**9 and 1.4 MB at 2**15.  (Those runs were bounded
-# by their summed positions; the documents of those corpora are near-uniform
-# in length, so both rules cut nearly the same runs.)
+# a time, whatever the number of leaves.  Larger runs make fewer profile
+# calls per leaf.  On the three benchmark workloads' corpora (2-core VM,
+# Python 3.11.7, numpy 2.4.6), runs of 2**13 positions scored 1.2x to 2.5x
+# as fast as 2**9, and 2**14 and 2**15 no faster; a C5 `evaluate` pass's
+# traced peak was 0.4-0.6 MB, against 0.03-0.05 MB at 2**9 and 1.4 MB at
+# 2**15.  (Those runs were bounded by their summed positions; the documents
+# of those corpora are near-uniform in length, so both rules cut nearly the
+# same runs.)
 RUN_POSITIONS = 1 << 13
 
 # a block of (document, stem) pairs to profile, laid end to end; each stem occurs in its document
@@ -327,37 +329,78 @@ def _fold(docs: list[PositionalDocument], node: QueryNode, profiles, settings) -
     return np.zeros(sum(doc.n for doc in docs), dtype=np.float64) if values is None else values
 
 
-def _similarities(docs: list[PositionalDocument], node: QueryNode, profiles, settings) -> list[float]:
-    """Each document's similarity to the query, one ``_fold`` per run of the documents that can score.
+def _runs(lengths: list[int]) -> list[slice]:
+    """``lengths`` cut, in order, into slices with count * longest <= ``RUN_POSITIONS``.
 
-    Documents that fail ``has_terms`` score exactly 0, unprofiled.  The
-    others are cut, in order, into runs: a run takes the next document
-    while (count + 1) * max(longest, n) <= ``RUN_POSITIONS``, so a document
-    that breaks the bound alone is a run of its own.  Each run is one
-    ``_fold``, and each of its documents scores the sum of its own slice
-    over n.  A contiguous slice sums pairwise in the same order as the same
-    values in an array of their own, so a document gets the same float in
-    any run as alone.
+    A length that breaks the bound alone is a slice of its own.  Lengths that all fit skip the
+    loop, which saves a library ``classify`` call 1.4 us (2-core VM, Python 3.11.7).
+    """
+    if not lengths:
+        return []
+    if len(lengths) * max(lengths) <= RUN_POSITIONS:
+        return [slice(0, len(lengths))]
+    runs = []
+    start = longest = 0
+    for i, n in enumerate(lengths):
+        if i > start and (i - start + 1) * max(longest, n) > RUN_POSITIONS:
+            runs.append(slice(start, i))
+            start, longest = i, 0
+        longest = max(longest, n)
+    runs.append(slice(start, len(lengths)))
+    return runs
+
+
+def _slice_means(values: np.ndarray, lengths: list[int]) -> list[float]:
+    """Each consecutive slice of ``lengths``, summed, over its length: the float of the slice alone.
+
+    A contiguous slice sums pairwise in the same order as the same values in an array of their own.
+    """
+    means = []
+    start = 0
+    for n in lengths:
+        means.append(float(values[start : start + n].sum()) / n)
+        start += n
+    return means
+
+
+def _similarities(docs: list[PositionalDocument], node: QueryNode, profiles, settings) -> list[float]:
+    """Each document's similarity to the query: one ``_fold`` per run of the documents that can score.
+
+    Documents that fail ``has_terms`` score exactly 0, unprofiled; each
+    other document scores the mean of its own slice of its run's fold.
     """
     scores = [0.0] * len(docs)
-    runs: list[list[int]] = []
-    longest = 0
-    for d, doc in enumerate(docs):
-        if not has_terms(doc, node):
-            continue
-        if runs and (len(runs[-1]) + 1) * max(longest, doc.n) <= RUN_POSITIONS:
-            runs[-1].append(d)
-            longest = max(longest, doc.n)
-        else:
-            runs.append([d])
-            longest = doc.n
-    for run in runs:
-        folded = _fold([docs[d] for d in run], node, profiles, settings)
-        start = 0
-        for d in run:
-            n = docs[d].n
-            scores[d] = float(folded[start : start + n].sum()) / n
-            start += n
+    held = [d for d, doc in enumerate(docs) if has_terms(doc, node)]
+    lengths = [docs[d].n for d in held]
+    for run in _runs(lengths):
+        folded = _fold([docs[d] for d in held[run]], node, profiles, settings)
+        for d, mean in zip(held[run], _slice_means(folded, lengths[run])):
+            scores[d] = mean
+    return scores
+
+
+def _leaf_similarities(
+    docs: list[PositionalDocument], leaves: list, kernel: InfluenceKernel
+) -> list[list[float]]:
+    """``similarity`` of each document to each one-leaf query, as ``[doc][leaf]``.
+
+    A pair whose document does not hold the leaf scores exactly 0; the others are segments, one
+    ``_term_profiles`` call per run of them, and each scores the mean of its own slice.
+    """
+    scores: list[list[float]] = []
+    held, segments, lengths = [], [], []  # per held pair: (its row, its column), segment, length
+    for doc in docs:
+        row = [0.0] * len(leaves)
+        scores.append(row)
+        for c, leaf in enumerate(leaves):
+            if _occurs(doc, leaf):
+                held.append((row, c))
+                segments.append((doc, leaf))
+                lengths.append(doc.n)
+    for run in _runs(lengths):
+        values = _term_profiles(segments[run], kernel)
+        for (row, c), mean in zip(held[run], _slice_means(values, lengths[run])):
+            row[c] = mean
     return scores
 
 

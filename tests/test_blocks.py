@@ -309,6 +309,72 @@ def test_block_similarities_equal_one_pair_at_a_time(docs, texts, shape, k, kf, 
             assert [v.hex() for v in got] == [v.hex() for v in want]
 
 
+@st.composite
+def _taxonomies(draw):
+    """1 to 5 categories over one small vocabulary, so that some share stems and some have one."""
+    models = []
+    for i in range(draw(st.integers(1, 5))):
+        descriptors = draw(st.sets(st.sampled_from(list("abcdef")), min_size=1, max_size=3))
+        others = draw(st.sets(st.sampled_from(sorted(set("abcdefgh") - descriptors)), max_size=3))
+        targets = sorted(descriptors)
+        equivalents = {stem: draw(st.sampled_from(targets)) for stem in sorted(others)}
+        models.append(CategoryModel(f"c{i}", frozenset(descriptors), equivalents))
+    return models
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    models=_taxonomies(),
+    docs=st.lists(st.lists(st.sampled_from(list("abcdefghxy")), max_size=30), min_size=1, max_size=6),
+    shape=st.sampled_from(KERNEL_SHAPES),
+    k=st.integers(1, 40),
+    block=st.sampled_from([1, 8, 25, 60, 10**9]),
+)
+def test_standard_categories_in_one_block_equal_each_alone(models, docs, shape, k, block):
+    """Standard ``classify`` and ``classify_documents`` score a document's categories as one block.
+
+    Each float must be ``similarity`` of the category's query alone.  A
+    small bound spreads one document's categories over several profile
+    calls, and a document longer than the bound is cut into calls of one
+    category each; a document that holds no category's stem scores 0.
+    """
+    documents = [build_document(f"d{i}", stems) for i, stems in enumerate(docs)]
+    cfg = RbfConfig(InfluenceKernel(shape, k))
+    expected = _hex(
+        rank_by_score((model.name, similarity(doc, model.query, cfg.kernel)) for model in models)
+        for doc in documents
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(proxcore, "RUN_POSITIONS", block)
+        assert _hex(classify_documents(documents, models, cfg)) == expected
+        assert _hex(classify(doc, models, cfg) for doc in documents) == expected
+
+
+def test_standard_blocks_are_cut_by_the_run_rule(monkeypatch):
+    """(document, category) segments are cut by count * longest <= RUN_POSITIONS, in order."""
+    short = build_document("short", list("abcxaxbxcx"))  # 10 positions, every category
+    wide = build_document("wide", list("ab") + ["x"] * 28)  # 30 positions, two categories
+    models = [CategoryModel(name, frozenset({name})) for name in "abc"]
+    blocks = []
+    lay_out = proxcore._segment_digits
+
+    def spy(segments, *args):
+        blocks.append([(doc.doc_id, stem) for doc, stem in segments])
+        return lay_out(segments, *args)
+
+    monkeypatch.setattr(proxcore, "_segment_digits", spy)
+    monkeypatch.setattr(proxcore, "RUN_POSITIONS", 25)
+    classify_documents([short, wide, short], models, RbfConfig(InfluenceKernel("triangular", 3)))
+    assert blocks == [
+        [("short", "a"), ("short", "b")],
+        [("short", "c")],
+        [("wide", "a")],
+        [("wide", "b")],
+        [("short", "a"), ("short", "b")],
+        [("short", "c")],
+    ]
+
+
 def _alone(doc, node, profile, settings_) -> float:
     if doc.n == 0 or not has_terms(doc, node):
         return 0.0

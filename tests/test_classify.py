@@ -195,6 +195,38 @@ class TestClassLeaves:
         )
         assert expected and merged == expected
 
+    def test_standard_mode_lays_a_documents_categories_out_once(self, monkeypatch):
+        """One profile call for every category the document holds; rbf scores each on its own."""
+        models = list(uniform_synthetic_spec(3, 2, 4).categories)
+        every = build_document("every", ["cat0d0", "n", "cat1e1", "cat2d1", "n", "cat1d0"])
+        two = build_document("two", ["cat2e3", "n", "cat0e0"])
+        none = build_document("none", ["n", "m"])
+        blocks = []
+        lay_out = proxcore._segment_digits
+
+        def counting(segments, *args):
+            blocks.append([(doc.doc_id, stem) for doc, stem in segments])
+            return lay_out(segments, *args)
+
+        monkeypatch.setattr(proxcore, "_segment_digits", counting)
+        for doc in (every, two, none):
+            classify(doc, models, CFG)
+        assert blocks == [
+            [("every", model.leaf) for model in models],
+            [("two", models[0].leaf), ("two", models[2].leaf)],
+        ]
+
+        scored = []
+        score = rbfwin.rbf_similarity
+
+        def counting_rbf(doc, node, cfg):
+            scored.append((doc.doc_id, node))
+            return score(doc, node, cfg)
+
+        monkeypatch.setattr(rbfwin, "rbf_similarity", counting_rbf)
+        classify(every, models, CFG, "rbf")
+        assert scored == [("every", model.query) for model in models]
+
 
 class TestClassify:
     def test_descriptor_only_document_wins_its_category(self):

@@ -5,7 +5,7 @@ interpreter with ``src`` on the path, and must finish with numpy and the two
 scoring modules (``proxcore``, ``rbfwin``) still unimported; the first three
 leave the query parser (``querylang``) unimported too.  A scoring
 command imports them where it first scores, and prints what it printed
-in-process.
+in-process; in standard mode it never imports ``rbfwin``.
 """
 
 import json
@@ -105,3 +105,16 @@ def test_query_imports_what_it_scores_with(capsys, tmp_path, mode, loaded):
     expected = capsys.readouterr().out
     assert len(expected.splitlines()) == 4
     assert run_fresh(*argv) == (0, loaded, expected, "")
+
+
+@pytest.mark.parametrize("command", ["classify", "eval"])
+def test_standard_classification_imports_no_rbf_module(capsys, tmp_path, command):
+    corpus, cats = tmp_path / "synth.tsv", tmp_path / "cats.txt"
+    assert main(["gen-synth", str(DATA / "synth-spec.txt"), "--out-corpus", str(corpus),
+                 "--out-categories", str(cats)]) == 0
+    argv = [command, str(corpus), "--categories", str(cats), "--mode", "standard"]
+    capsys.readouterr()
+    assert main(argv) == 0
+    expected = capsys.readouterr().out
+    assert expected
+    assert run_fresh(*argv) == (0, ["numpy", "proxima.proxcore"], expected, "")
