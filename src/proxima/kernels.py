@@ -6,7 +6,7 @@
 needs numpy or the query parser, so ``cli.RunConfig`` checks every
 scoring setting for every command, ``index`` and ``gen-synth`` too,
 without importing the scoring modules or ``querylang``.  ``proxcore`` and
-``rbfwin`` re-export the kernel names, and ``querylang`` ``check_width``.
+``rbfwin`` re-export the kernel names.
 """
 
 from __future__ import annotations

@@ -1,34 +1,11 @@
-"""Fuzzy positional proximity: influence kernels, local relevance, NEAR, scoring.
+"""Fuzzy positional proximity: local relevance, NEAR, query folding and scoring.
 
-An occurrence of a term spreads influence to nearby positions through a
-bounded symmetric kernel.  The local relevance of a term at position x is
-the strongest influence any of its occurrences exerts there; queries combine
-those per-position values with min (AND), max (OR) and a width-narrowed min
-(NEAR).  A document's score is the positional sum over 0..N-1, and its
-similarity is that sum divided by N, which keeps it in [0, 1].
-
-Profiles are built for a block of (document, stem) segments at a time
-(``_term_profiles``; ``term_profile`` is a block of one segment).  One
-body, ``_fold``, folds a query over a run of documents laid end to end,
-profiling each leaf in the documents that hold it as the fold reads it:
-``similarity`` and ``query_profile`` fold a run of one document, and
-``_similarities`` scores many, as a classification pass or a ``proxima
-query`` does, with the same floats.  A standard-mode category is one
-class leaf, so ``_leaf_similarities`` profiles every (document, category)
-pair that can score in blocks, unfolded.  Both cut their work with
-``_runs``: at most ``RUN_POSITIONS`` positions per run, counted as if each
-of its documents were as long as its longest.
-
-In standard mode, ``_fold`` reads every OR of two same-width leaves as
-one class leaf of their stems (``query_plan(node, merged=True)``), so a
-category's OR of descriptors is profiled once.  Every kernel table is
-non-increasing and OR is a max, so the class leaf picks the same table
-entry as the max: the floats are the same by construction.  rbf leaves
-carry window boosts, so rbf scoring, like the scalar oracles
-``eval_query_at`` and ``rbf_eval_query_at``, folds the plan as written.
-
-The kernels themselves (``InfluenceKernel``, ``KERNEL_SHAPES``) are defined
-in ``kernels``, without numpy, and re-exported here.
+Holds the scalar oracles (``local_relevance``, ``eval_query_at``), the
+one segment layout ``_segment_digits`` and its profile ``_term_profiles``,
+the one fold ``_fold``, and the scorers built on it, cut by ``_runs``.
+README's semantics notes say how queries are folded over blocks and runs,
+and why skipped work, class leaves and blocks give the same floats.  The
+kernels are defined in ``kernels``, without numpy, and re-exported here.
 """
 
 from __future__ import annotations
@@ -41,7 +18,7 @@ import numpy as np
 
 from .kernels import KERNEL_SHAPES, InfluenceKernel, check_width
 from .posindex import PositionalDocument, positions_of
-from .querylang import And, Or, QueryNode, query_plan
+from .querylang import And, Or, QueryNode, Term, query_plan
 
 __all__ = [
     "KERNEL_SHAPES",
@@ -58,20 +35,8 @@ __all__ = [
     "similarity",
 ]
 
-# ``_runs`` cuts the documents ``_similarities`` scores, and the segments
-# ``_leaf_similarities`` lays out, into runs of count of them with count *
-# longest <= RUN_POSITIONS.  That one bound keeps a run's largest array
-# small: the number line of ``_segment_digits``, which puts segments at most
-# ``longest`` apart and which the rbf row reuses, is at most about
-# 2 * RUN_POSITIONS + longest long.  A fold holds a few rows over its run at
-# a time, whatever the number of leaves.  Larger runs make fewer profile
-# calls per leaf.  On the three benchmark workloads' corpora (2-core VM,
-# Python 3.11.7, numpy 2.4.6), runs of 2**13 positions scored 1.2x to 2.5x
-# as fast as 2**9, and 2**14 and 2**15 no faster; a C5 `evaluate` pass's
-# traced peak was 0.4-0.6 MB, against 0.03-0.05 MB at 2**9 and 1.4 MB at
-# 2**15.  (Those runs were bounded by their summed positions; the documents
-# of those corpora are near-uniform in length, so both rules cut nearly the
-# same runs.)
+# ``_runs`` cuts work into runs with count * longest <= RUN_POSITIONS, which
+# bounds a run's number line; no larger power of two scored faster.
 RUN_POSITIONS = 1 << 13
 
 # a block of (document, stem) pairs to profile, laid end to end; each stem occurs in its document
@@ -129,12 +94,8 @@ def _segment_digits(
     and clipping is exact (README's determinism notes).  ``reach`` widens
     the gaps for the rbf row, whose windows reach min(reach, longest)
     positions to each side.  ``top`` is taken in Python, so any k works.
-
-    A class's occurrences are its members' lists joined end to end, not
-    merged per segment (``positions_of``); once every segment is on the
-    line, one sort of the whole array puts them in order.  Each segment
-    has its own stretch of the line and a document's positions are
-    distinct, so the sorted array is the one the merged lists give.
+    A class's occurrences are its members' lists joined end to end, and
+    one sort per call orders them (README's determinism notes say why).
     """
     lengths = [doc.n for doc, _ in segments]
     longest, total, count = max(lengths), sum(lengths), len(segments)
@@ -189,9 +150,7 @@ def _term_profiles(segments: _Segments, kernel: InfluenceKernel) -> np.ndarray:
 
 def term_profile(doc: PositionalDocument, term: str, kernel: InfluenceKernel) -> np.ndarray:
     """local_relevance of ``term`` at every in-document position, as one array."""
-    if not _occurs(doc, term):
-        return np.zeros(doc.n, dtype=np.float64)
-    return _term_profiles([(doc, term)], kernel)
+    return query_profile(doc, Term(term), kernel)
 
 
 def _min_gap(doc: PositionalDocument, term_a: str, term_b: str) -> int | None:
@@ -303,7 +262,7 @@ def _fold(docs: list[PositionalDocument], node: QueryNode, profiles, settings) -
     each document's slice holds the floats of folding it alone, and the
     fold holds only the rows it has not yet combined, whatever the
     number of leaves.  With ``_term_profiles`` it folds the merged plan
-    (see the module docstring); rbf profiles fold the plan as written.
+    (see ``query_plan``); rbf profiles fold the plan as written.
     """
 
     def leaf(stem, settings):

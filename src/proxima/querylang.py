@@ -1,24 +1,8 @@
-"""Query language: terms combined with AND, OR and width-bounded NEAR.
+"""Query language: the parser, the renderer and each query tree's cached plan.
 
-Grammar (keywords case-insensitive, NEAR binds tightest, all left-associative):
-
-    expr := or
-    or   := and (OR and)*
-    and  := near (AND near)*
-    near := atom (NEAR/INT atom)?
-    atom := TERM | '(' expr ')'
-
-NEAR takes plain terms on both sides and an explicit width, e.g. ``a NEAR/7 b``.
-Parentheses nest at most MAX_NESTING (100) levels deep.
-Terms are folded and stemmed at parse time (to a fixed point, so a rendered
-query re-parses to the same tree); stop words are deliberately not filtered
-here, unlike on the document side.
-
-Scoring folds a query's ``plan``, its post-order list of steps, rather than
-the tree.  The plan is built once per query and cached on the query's root
-node, so it lives exactly as long as the tree does.  So is the merged
-plan that standard scoring folds, in which a category's OR tree is one
-class leaf (``query_plan(node, merged=True)``).
+README's "Query language" section gives the grammar and the term rules;
+its semantics notes say how scoring folds a plan and when a merged plan
+is exact.
 """
 
 from __future__ import annotations
@@ -39,7 +23,6 @@ __all__ = [
     "QueryNode",
     "QueryParseError",
     "MAX_NESTING",
-    "check_width",
     "parse_query",
     "query_plan",
     "render_query",
@@ -147,14 +130,8 @@ def query_plan(node: QueryNode, merged: bool = False) -> tuple:
 
     ``merged`` asks for the plan in which every OR of two leaves of one
     width is one class leaf of their stems, sorted and deduplicated.
-    Folding it is exact for a leaf whose value is a non-increasing function
-    of the distance to its stem's nearest occurrence, as standard
-    scoring's kernel tables are: OR is a max, and the max over the leaves
-    is that function at the least distance to any of their stems, the
-    class leaf's value.  An rbf leaf's window boost is not such a
-    function, so rbf scoring folds the plan as written.  A NEAR's leaves
-    are combined by their own ``And`` first, so an OR never meets two
-    leaves of different widths.
+    Folding it is exact for standard scoring's leaves, not for rbf leaves
+    (README's semantics notes say why).
     """
     if not isinstance(node, _Node):
         raise TypeError(f"not a query node: {node!r}")
@@ -173,7 +150,7 @@ class QueryParseError(ValueError):
 # frames per level, so this keeps it well inside the interpreter's limit.
 MAX_NESTING = 100
 
-_WORD_RE = re.compile(r"[^\s()]+")
+_TOKEN_RE = re.compile(r"[()]|[^\s()]+")
 _NEAR_RE = re.compile(r"near(/.*)?", re.IGNORECASE)
 _NEAR_WIDTH_RE = re.compile(r"near/(\d+)", re.IGNORECASE)
 
@@ -188,23 +165,13 @@ class _Token:
 
 def _lex(text: str) -> list[_Token]:
     tokens: list[_Token] = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "()":
-            tokens.append(_Token(ch, ch, i + 1))
-            i += 1
-            continue
-        match = _WORD_RE.match(text, i)
-        assert match is not None
+    for match in _TOKEN_RE.finditer(text):
         word = match.group()
-        column = i + 1
-        i = match.end()
+        column = match.start() + 1
         upper = word.upper()
-        if upper == "AND":
+        if word in "()":
+            tokens.append(_Token(word, word, column))
+        elif upper == "AND":
             tokens.append(_Token("and", word, column))
         elif upper == "OR":
             tokens.append(_Token("or", word, column))

@@ -1,26 +1,13 @@
 """Sliding-window RBF boost on top of the positional relevance model.
 
-Around each position x, the relevance values of the neighboring positions
-(up to ``kf`` on each side) form a small sample with mean mu and population
-standard deviation sigma.  Neighbors inside the one-sigma band (scaled by a
-configurable multiplier) count as the semantic neighborhood of x; each kept
-neighbor adds its value weighted by a Gaussian density centered at mu.  The
-boosted relevance is the base value plus that sum, clamped to 1 by default
-so downstream scoring keeps its [0, 1] range.
-
-A neighbor's value is its relevance with respect to the focal term's own
-occurrences, i.e. how deep inside the term's influence zone it sits.
-The window settings, ``RbfConfig``, are defined in ``kernels``, without
-numpy, and re-exported here.
-
-``window_boost`` is the one scalar definition of a window's boost, and
-``rbf_local_relevance``, the unmemoised oracle, sums with it.
-``_rbf_term_profiles`` profiles a block of (document, stem) segments laid
-out on ``proxcore._segment_digits``' number line: each window is keyed by
-the bytes of its distance digits, its boost is memoised per window
-geometry in a process-wide dict of about 2 MB, and a call's misses are
-computed together by ``_batch_boosts``.  README's determinism notes say
-why memoised, batched and scalar boosts are the same floats.
+Holds the scalar definition of a window's boost (``window_boost``) and the
+unmemoised oracle that sums with it (``rbf_local_relevance``), and the
+block profile ``_rbf_term_profiles``: its windows lie on
+``proxcore._segment_digits``' number line, their boosts are memoised per
+window geometry, and a call's misses are computed together by
+``_batch_boosts``.  README describes the boost, and its determinism notes
+say why memoised, batched and scalar boosts are the same floats.
+``RbfConfig`` is defined in ``kernels``, without numpy, and re-exported here.
 """
 
 from __future__ import annotations
@@ -38,14 +25,13 @@ from .kernels import RbfConfig
 from .posindex import PositionalDocument
 from .proxcore import (
     _fold,
-    _occurs,
     _segment_digits,
     _Segments,
     _similarity,
     fold_query,
     local_relevance,
 )
-from .querylang import QueryNode
+from .querylang import QueryNode, Term
 
 __all__ = [
     "RbfConfig",
@@ -214,9 +200,7 @@ def _rbf_term_profiles(segments: _Segments, cfg: RbfConfig) -> np.ndarray:
 
 def rbf_term_profile(doc: PositionalDocument, term: str, cfg: RbfConfig) -> np.ndarray:
     """rbf_local_relevance of ``term`` at every position, as one array."""
-    if not _occurs(doc, term):
-        return np.zeros(doc.n, dtype=np.float64)
-    return _rbf_term_profiles([(doc, term)], cfg)
+    return rbf_query_profile(doc, Term(term), cfg)
 
 
 def _window_boosts(keys: list[bytes], geometry: tuple, table: np.ndarray):

@@ -1,38 +1,10 @@
-r"""Text preparation: character folding, tokenization, stop words, light stemming.
-
-The pipeline turns raw text into a position-indexed sequence of stems:
+"""Text preparation: character folding, tokenization, stop words, light stemming.
 
     normalize -> tokenize -> remove stop words -> stem -> assign positions
 
-Positions are assigned after filtering, so proximity distances downstream
-count content terms only.
-
-Every step runs in C over a whole text, chunk or token list; Python runs
-once per text, once per whitespace chunk, and once per distinct token a
-stemmer has not seen.  Each fast form gives the same strings as the plain
-one (``tests/_reference.py`` keeps the plain ones as oracles):
-
-- The fold is one ``str.replace`` per ``_FOLD_TABLE`` entry, not a
-  ``str.translate`` that looks each character up in a dict.  Every key is
-  one character and no replacement (ا, ي, ه or "") holds a key, so no
-  replace makes or removes a match of another, and their order is free.
-  Text with no folded character, such as most query and category words
-  once folded, is returned after one ``isascii`` or one regex search.
-- Words are the runs of ``\w`` once each "_" reads as a space, which are
-  the runs of ``[^\W_]``: "_" is the one word character that class leaves
-  out, and a space is no word character.  No whitespace character is
-  ``\w`` either, so the text is split on whitespace first, and a chunk
-  for which ``str.isalnum`` holds is one word whole: ``\w`` holds for a
-  character exactly when ``isalnum`` does or it is "_".  Only the other
-  chunks go through the regex.  ``str.isdecimal`` is true for
-  exactly the tokens ``\d+`` matches whole: both test each character for
-  the Unicode category Nd.
-- Stop words and stop stems are dropped by ``filterfalse`` over the set's
-  ``__contains__``, the same membership test a comprehension makes.
-- A stemmer's memo is a dict whose ``__missing__`` strips a new token, so
-  ``map`` over its ``__getitem__`` stems the tokens it has seen without a
-  Python call.  The stems of a frozen stop list are made once per stemmer;
-  a mutable ``set`` may change between calls, so it is stemmed each call.
+Each step runs in C over a whole text, chunk or token list; README's
+semantics notes say why each fast form gives the same strings as the
+plain one that ``tests/_reference.py`` keeps as its oracle.
 """
 
 from __future__ import annotations
@@ -40,6 +12,7 @@ from __future__ import annotations
 import codecs
 import re
 from dataclasses import MISSING, fields
+from functools import cache
 from importlib import resources
 from itertools import filterfalse
 from pathlib import Path
@@ -377,21 +350,13 @@ def _data_path(name: str) -> Path:
     return Path(str(resources.files("proxima").joinpath("data", name)))
 
 
-_DEFAULT_STOPLIST: frozenset[str] | None = None
-_DEFAULT_STEMMER: LightStemmer | None = None
-
-
+@cache
 def default_stoplist() -> frozenset[str]:
-    """The packaged Arabic stop list."""
-    global _DEFAULT_STOPLIST
-    if _DEFAULT_STOPLIST is None:
-        _DEFAULT_STOPLIST = load_stoplist(_data_path("stopwords_ar.txt"))
-    return _DEFAULT_STOPLIST
+    """The packaged Arabic stop list, loaded once per process."""
+    return load_stoplist(_data_path("stopwords_ar.txt"))
 
 
+@cache
 def default_stemmer() -> LightStemmer:
-    """The packaged Arabic light-stemming rules."""
-    global _DEFAULT_STEMMER
-    if _DEFAULT_STEMMER is None:
-        _DEFAULT_STEMMER = load_stemmer_rules(_data_path("stemmer_rules_ar.txt"))
-    return _DEFAULT_STEMMER
+    """The packaged Arabic light-stemming rules, loaded once per process."""
+    return load_stemmer_rules(_data_path("stemmer_rules_ar.txt"))

@@ -33,6 +33,28 @@ def preprocess(text: str, stoplist, strip) -> tuple[str, ...]:
     return tuple(s for s in (strip(t) for t in tokens) if s not in stop_stems)
 
 
+def lex(text: str) -> list[tuple[str, int]]:
+    """A query's tokens with their 1-based columns, read one character at a time.
+
+    Whitespace (``str.isspace``) separates tokens, a parenthesis is a token
+    of its own, and any other run of characters is one token.
+    """
+    tokens = []
+    i = 0
+    while i < len(text):
+        if text[i].isspace():
+            i += 1
+        elif text[i] in "()":
+            tokens.append((text[i], i + 1))
+            i += 1
+        else:
+            start = i
+            while i < len(text) and not text[i].isspace() and text[i] not in "()":
+                i += 1
+            tokens.append((text[start:i], start + 1))
+    return tokens
+
+
 def kernel_value(shape: str, k: int, offset: int) -> float:
     ax = abs(offset)
     if shape == "triangular":

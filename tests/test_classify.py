@@ -531,6 +531,8 @@ class TestSyntheticSpec:
             uniform_synthetic_spec(noise_rate=1.2)
         with pytest.raises(SynthSpecError, match="room"):
             uniform_synthetic_spec(noise_rate=0.6, cross_rate=0.5)
+        with pytest.raises(SynthSpecError, match="counts out of range"):
+            uniform_synthetic_spec(0)
 
     def test_spec_file_round_trip(self, tmp_path):
         path = tmp_path / "spec.txt"
@@ -565,6 +567,9 @@ class TestSyntheticSpec:
             load_synthetic_spec(path)
         path.write_text("doc_length = four\ncategory: x\ndescriptors: a\n", encoding="utf-8")
         with pytest.raises(SynthSpecError, match="doc_length"):
+            load_synthetic_spec(path)
+        path.write_text("noise_vocab_size = 0\ncategory: x\ndescriptors: a\n", encoding="utf-8")
+        with pytest.raises(SynthSpecError, match="noise_vocab_size must be >= 1"):
             load_synthetic_spec(path)
 
 

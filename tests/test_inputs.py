@@ -21,6 +21,8 @@ from proxima.classify import (
     CategoryModel,
     SynthSpecError,
     SyntheticSpec,
+    classify,
+    evaluate,
     load_categories,
     load_synthetic_spec,
     save_categories,
@@ -540,3 +542,53 @@ class TestByteOrderMark:
             results.append((out, written.read_text(encoding="utf-8") if written.exists() else ""))
         assert results[0] == results[1]
         assert took_effect(*results[1])
+
+
+class TestRareInputErrors:
+    """Input errors that ordinary inputs can reach: each exits 2 with its message, or raises."""
+
+    @pytest.mark.parametrize("term", ["\u0640", "\u064e"], ids=["tatweel", "fatha"])
+    def test_a_query_term_that_folds_to_nothing(self, term, workdir):
+        code, out, err = run_main(["query", workdir / "corpus.tsv", term])
+        assert (code, out) == (2, "")
+        assert err == f"error: column 1: {term!r} normalizes to nothing\n"
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            # a category's own line, where its equivalents are checked as a whole
+            ("equivalents: b=a b=c", "1: category 'x': equivalent 'b' maps to two descriptors"),
+            ("equivalents: b", "3: expected surface=descriptor, got 'b'"),
+        ],
+        ids=["two-descriptors", "no-equals"],
+    )
+    def test_a_bad_equivalent(self, line, message, workdir, tmp_path):
+        path = tmp_path / "cats.txt"
+        path.write_text(f"category: x\ndescriptors: a c\n{line}\n", encoding="utf-8")
+        code, out, err = run_main(["classify", workdir / "corpus.tsv", "--categories", path])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:{message}\n"
+
+    def test_a_corpus_record_with_an_empty_doc_id(self, tmp_path):
+        path = tmp_path / "corpus.tsv"
+        path.write_text(f"{CORPUS_HEADER}\n\t-\tkora\n", encoding="utf-8")
+        code, out, err = run_main(["query", path, "kora"])
+        assert (code, out) == (2, "")
+        assert err == f"error: {path}:2: empty doc_id\n"
+
+    @pytest.mark.parametrize("word, value", [("yes", True), ("On", True), ("1", True), ("no", False)])
+    def test_a_config_boolean(self, word, value, tmp_path):
+        path = tmp_path / "run.conf"
+        path.write_text(f"clamp = off\nclamp = {word}\n", encoding="utf-8")
+        assert _load_config(path).clamp is value
+
+    def test_rbf_classify_needs_a_category(self):
+        with pytest.raises(ValueError, match="need at least one category"):
+            classify(build_document("d", ["kora"]), [], RbfConfig(InfluenceKernel()), "rbf")
+
+    def test_evaluate_rejects_two_categories_of_one_name(self):
+        corpus = Corpus()
+        corpus.add(build_document("d", ["kora"]), label="x")
+        models = [CategoryModel("x", frozenset({"kora"})), CategoryModel("x", frozenset({"suq"}))]
+        with pytest.raises(ValueError, match="duplicate category names"):
+            evaluate(corpus, models, RbfConfig(InfluenceKernel()))

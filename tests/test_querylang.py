@@ -1,9 +1,12 @@
 """Query parser and renderer tests."""
 
+import re
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given
 
+import _reference as ref
 from proxima.querylang import (
     MAX_NESTING,
     And,
@@ -11,6 +14,7 @@ from proxima.querylang import (
     Or,
     QueryParseError,
     Term,
+    _lex,
     parse_query,
     query_plan,
     render_query,
@@ -51,6 +55,20 @@ class TestParsing:
 
     def test_nearby_is_a_term_not_an_operator(self):
         assert parse_query("nearby") == Term("nearby")
+
+
+# letters with no "e", so that no word is a NEAR operator, which needs a width
+LEX_ALPHABET = "adnorxANكتاب0193_() \t\x1c\x1d\x1e\x1f\x85\xa0\u2028\u3000"
+
+
+class TestLexer:
+    @given(st.text(alphabet=LEX_ALPHABET, max_size=40))
+    def test_tokens_and_columns_match_a_character_scanner(self, text):
+        assert [(token.text, token.column) for token in _lex(text)] == ref.lex(text)
+
+    def test_the_token_pattern_splits_where_isspace_does(self):
+        every = "".join(map(chr, range(0x110000)))
+        assert re.findall(r"\s", every) == list(filter(str.isspace, every))
 
 
 class TestParseErrors:

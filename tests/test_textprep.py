@@ -107,6 +107,12 @@ class TestLightStem:
         assert stemmer("المدرسة") == stemmer("المدرسة")
 
 
+class TestPackagedDefaults:
+    def test_each_default_is_one_object_per_process(self):
+        assert default_stemmer() is default_stemmer()
+        assert default_stoplist() is default_stoplist()
+
+
 class TestFixpointStemming:
     def test_reaches_fixed_point(self):
         stemmer = default_stemmer()
