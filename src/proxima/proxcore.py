@@ -87,15 +87,13 @@ def _segment_digits(
     A segment is a (document, stem) pair whose stem occurs in the document.
     This is the one place that lays a block's segments out: in order on
     one number line, the first at 0, with gap = max(top, min(reach,
-    longest)) empty positions before, between and after them.  Returns
-    those digits, the kernel's table at 0..top, so that ``table[digits]`` is
-    each segment's local relevance, each segment position's place on the
-    line (int64) and the gap.  One ``searchsorted`` serves every segment,
-    and clipping is exact (README's determinism notes).  ``reach`` widens
-    the gaps for the rbf row, whose windows reach min(reach, longest)
-    positions to each side.  ``top`` is taken in Python, so any k works.
-    A class's occurrences are its members' lists joined end to end, and
-    one sort per call orders them (README's determinism notes say why).
+    longest)) empty positions before, between and after them; ``reach``
+    widens the gaps for the rbf row.  Returns those digits, the kernel's
+    table at 0..top, so that ``table[digits]`` is each segment's local
+    relevance, each segment position's place on the line (int64) and the
+    gap.  ``top`` is taken in Python, so any k works.  README's
+    determinism notes say why the clipping, the one ``searchsorted`` and
+    the one sort of a call's class occurrences are exact.
     """
     lengths = [doc.n for doc, _ in segments]
     longest, total, count = max(lengths), sum(lengths), len(segments)
@@ -221,22 +219,21 @@ def fold_query(node: QueryNode, leaf, settings, merged: bool = False):
 
 
 def _occurs(doc: PositionalDocument, stem: str | tuple[str, ...]) -> bool:
-    """Whether ``positions_of(doc, stem)`` is non-empty, without merging a class."""
+    """Whether ``positions_of(doc, stem)`` is non-empty: a class needs one of its members."""
     inverted = doc.inverted
     return stem in inverted if isinstance(stem, str) else not inverted.keys().isdisjoint(stem)
 
 
 def has_terms(doc: PositionalDocument, node: QueryNode) -> bool:
-    """Whether the query holds in ``doc`` as a boolean over term presence alone.
+    """Whether the query holds in ``doc`` as a boolean over which stems it holds.
 
-    A term needs an occurrence (a class, one of its members), AND and NEAR
-    need both sides, OR needs either side.  When the answer is False, every
-    nonzero value would need an absent term, so the relevance is 0 everywhere.
-    An empty document holds no term, so it fails every query.
+    Each leaf of ``query_plan(node, merged=True)`` is decided by ``_occurs``,
+    in both modes; AND and NEAR need both sides, OR either side.  When the
+    answer is False, the relevance is 0 everywhere.  An empty document
+    holds no stem, so it fails every query.
     """
-    inverted = doc.inverted
     values: list = []
-    for step in query_plan(node):
+    for step in query_plan(node, merged=True):
         if step is And:
             right = values.pop()
             values[-1] = values[-1] and right
@@ -244,25 +241,19 @@ def has_terms(doc: PositionalDocument, node: QueryNode) -> bool:
             right = values.pop()
             values[-1] = values[-1] or right
         else:
-            # this runs for every document scored, so a plain stem skips the call
-            stem = step[0]
-            values.append(stem in inverted if isinstance(stem, str) else _occurs(doc, stem))
+            values.append(_occurs(doc, step[0]))
     return values.pop()
 
 
 def _fold(docs: list[PositionalDocument], node: QueryNode, profiles, settings) -> np.ndarray:
     """``fold_query`` over the documents laid end to end, as one array; zeros where the query is 0.
 
-    Each leaf is one ``profiles(segments, settings)`` call (``_term_profiles``
-    or ``rbfwin._rbf_term_profiles``) over the documents that hold its
-    stem, made when the fold reads the leaf.  Those values are the leaf's
-    row when every document holds the stem; otherwise they are scattered
-    into a row of exact zeros, which fold as an absent term does: ``min(0,
-    x) = 0`` and ``max(0, x) = x``.  A leaf no document holds is None.  So
-    each document's slice holds the floats of folding it alone, and the
-    fold holds only the rows it has not yet combined, whatever the
-    number of leaves.  With ``_term_profiles`` it folds the merged plan
-    (see ``query_plan``); rbf profiles fold the plan as written.
+    Each leaf is one ``profiles(segments, settings)`` call over the
+    documents that hold its stem, scattered into a row of exact zeros when
+    some do not; a leaf no document holds is None.  So each document's
+    slice holds the floats of folding it alone (README's semantics notes).
+    ``_term_profiles`` folds the merged plan, ``rbfwin._rbf_term_profiles``
+    the plan as written.
     """
 
     def leaf(stem, settings):

@@ -34,62 +34,53 @@ class _Node:
 
     @cached_property
     def plan(self) -> tuple:
-        """The query as post-order steps; see ``query_plan``."""
-        steps: list = []
-        stack: list = [self]
-        while stack:
-            item = stack.pop()
-            if item is And or item is Or:
-                steps.append(item)
-            elif isinstance(item, Term):
-                steps.append((item.stem, None))
-            elif isinstance(item, Near):
-                steps += ((item.left.stem, item.k), (item.right.stem, item.k), And)
-            elif isinstance(item, (And, Or)):
-                stack += (type(item), item.right, item.left)
-            else:
-                raise TypeError(f"not a query node: {item!r}")
-        return tuple(steps)
+        """The query as post-order steps, as written; see ``query_plan``."""
+        return _walk(self, merged=False)
 
     @cached_property
     def merged_plan(self) -> tuple:
-        """``plan`` with every OR of two leaves of one width merged into one leaf.
-
-        An OR whose last two values are leaves takes exactly those two, so
-        merging there, as the plan is read, merges an OR tree bottom up.  A
-        growing leaf's stems are a dict, the smaller folded into the larger,
-        so any tree shape merges in n log n steps.
-        """
-        steps: list = []
-        for step in self.plan:
-            # a leaf is a tuple; the And and Or steps are classes
-            if step is Or and type(steps[-1]) is type(steps[-2]) is tuple and steps[-1][1] == steps[-2][1]:
-                (right, _), (left, width) = steps.pop(), steps.pop()
-                large, small = _members(left), _members(right)
-                if len(large) < len(small):
-                    large, small = small, large
-                large.update(small)
-                steps.append((large, width))
-            else:
-                steps.append(step)
-        if len(steps) == len(self.plan):
-            return self.plan
-        return tuple(
-            (_class(step[0]), step[1]) if type(step) is tuple and type(step[0]) is dict else step
-            for step in steps
-        )
+        """``plan`` with each OR chain's plain terms as one class leaf; see ``query_plan``."""
+        return _walk(self, merged=True)
 
 
-def _members(stem) -> dict:
-    """A growing leaf's stems, as a dict of its own."""
-    if type(stem) is dict:
-        return stem
-    return dict.fromkeys((stem,) if isinstance(stem, str) else stem)
-
-
-def _class(members: dict) -> str | tuple[str, ...]:
-    """A merged leaf's stem: its one stem, or its stems as a sorted tuple."""
-    return next(iter(members)) if len(members) == 1 else tuple(sorted(members))
+def _walk(node: "QueryNode", merged: bool) -> tuple:
+    """``query_plan(node, merged)``, built with an explicit stack, so any depth works."""
+    steps: list = []
+    stack: list = [node]
+    while stack:
+        item = stack.pop()
+        if item is And or item is Or:
+            steps.append(item)
+        elif isinstance(item, Term):
+            steps.append((item.stem, None))
+        elif isinstance(item, Near):
+            steps += ((item.left.stem, item.k), (item.right.stem, item.k), And)
+        elif merged and isinstance(item, Or):
+            # the chain's operands, left to right through every Or under it; its plain
+            # terms are one class leaf, which stands where the first of them did
+            operands, stems, chain = [], set(), [item]
+            while chain:
+                operand = chain.pop()
+                if isinstance(operand, Or):
+                    chain += (operand.right, operand.left)
+                elif not isinstance(operand, Term):
+                    operands.append(operand)
+                else:
+                    if not stems:
+                        operands.append(stems)
+                    stems.update((operand.stem,) if isinstance(operand.stem, str) else operand.stem)
+            members = sorted(stems)
+            leaf = Term(members[0] if len(members) == 1 else tuple(members))
+            operands = [leaf if operand is stems else operand for operand in operands]
+            # folded left to right: o1 o2 Or o3 Or ...
+            for operand in reversed(operands[1:]):
+                stack += (Or, operand)
+            stack.append(operands[0])
+        elif isinstance(item, (And, Or)):
+            stack += (type(item), item.right, item.left)
+        else:
+            raise TypeError(f"not a query node: {item!r}")
+    return tuple(steps)
 
 
 @dataclass(frozen=True)
@@ -128,10 +119,11 @@ def query_plan(node: QueryNode, merged: bool = False) -> tuple:
     leaves followed by ``And``, since NEAR is a min over its narrowed terms.
     Raises TypeError for anything that is not a query tree.
 
-    ``merged`` asks for the plan in which every OR of two leaves of one
-    width is one class leaf of their stems, sorted and deduplicated.
-    Folding it is exact for standard scoring's leaves, not for rbf leaves
-    (README's semantics notes say why).
+    ``merged`` asks for the plan in which the plain terms of each OR chain
+    are one class leaf, sorted and deduplicated, where the first of them
+    stood; the chain's other operands keep their order.  Presence reads it
+    in both modes, standard scoring folds it, and rbf scoring folds the
+    plan as written (README's semantics notes say why).
     """
     if not isinstance(node, _Node):
         raise TypeError(f"not a query node: {node!r}")

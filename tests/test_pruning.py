@@ -17,11 +17,18 @@ import pytest
 from hypothesis import given, settings
 
 from proxima import rbfwin
-from proxima.classify import CategoryModel, classify
+from proxima.classify import (
+    CategoryModel,
+    classify,
+    classify_documents,
+    generate_synthetic_corpus,
+    uniform_synthetic_spec,
+)
 from proxima.posindex import build_document
 from proxima.proxcore import (
     KERNEL_SHAPES,
     InfluenceKernel,
+    _occurs,
     eval_query_at,
     fold_query,
     has_terms,
@@ -43,8 +50,10 @@ VOCAB = ["a", "b", "c", "d", "e", "x", "y", "z"]
 
 stems = st.sampled_from(VOCAB)
 terms = stems.map(Term)
+# class leaves, as category queries have them; a member may repeat
+classes = st.lists(stems, min_size=2, max_size=3).map(lambda members: Term(tuple(members)))
 queries = st.recursive(
-    terms | st.builds(Near, st.integers(1, 9), terms, terms),
+    terms | classes | st.builds(Near, st.integers(1, 9), terms, terms),
     lambda inner: st.builds(And, inner, inner) | st.builds(Or, inner, inner),
     max_leaves=8,
 )
@@ -94,8 +103,30 @@ def test_failing_presence_means_an_all_zero_profile(doc, node, kernel):
     profile = fold_query(node, partial(term_profile, doc), kernel)
     if not has_terms(doc, node):
         assert not profile.any()
-    present = fold_query(node, lambda stem, _: True if stem in doc.inverted else None, kernel)
-    assert has_terms(doc, node) == (present is not None)
+
+    # the unmerged plan, each leaf present when any of its stems is
+    def leaf(stem, _):
+        members = (stem,) if isinstance(stem, str) else stem
+        return True if any(member in doc.inverted for member in members) else None
+
+    assert has_terms(doc, node) == (fold_query(node, leaf, kernel) is not None)
+
+
+def test_a_category_is_present_when_its_leaf_is():
+    # about half of the (document, category) pairs hold the category
+    spec = uniform_synthetic_spec(8, 6, 12, docs_per_category=3, cross_rate=0.05)
+    corpus, models = generate_synthetic_corpus(spec, 7)
+    docs = list(corpus)
+    for doc in docs:
+        for model in models:
+            assert has_terms(doc, model.query) == _occurs(doc, model.leaf)
+    # rbf scoring reads the same presence over a block as for one document alone
+    cfg = RbfConfig(InfluenceKernel("triangular", 3), kf=4)
+    together = classify_documents(docs, models, cfg, "rbf")
+    alone = [classify(doc, models, cfg, "rbf") for doc in docs]
+    assert [[(name, value.hex()) for name, value in row] for row in together] == [
+        [(name, value.hex()) for name, value in row] for row in alone
+    ]
 
 
 def test_presence_follows_the_boolean_operators():

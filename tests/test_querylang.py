@@ -151,6 +151,27 @@ class TestMergedPlan:
         for node in (left, right):
             assert query_plan(node, merged=True) == ((tuple(stems), None),)
 
+    def test_a_compound_operand_does_not_break_the_chain(self):
+        node = parse_query("a OR b OR (c AND d) OR g OR a")
+        assert query_plan(node, merged=True) == (
+            (("a", "b", "g"), None), ("c", None), ("d", None), And, Or
+        )
+
+    def test_the_class_leaf_stands_where_the_first_term_did(self):
+        node = parse_query("(c AND d) OR a OR (e NEAR/2 f) OR b")
+        assert query_plan(node, merged=True) == (
+            ("c", None), ("d", None), And, (("a", "b"), None), Or, ("e", 2), ("f", 2), And, Or
+        )
+
+    def test_a_chain_with_no_plain_term_stays_as_written(self):
+        node = parse_query("(a AND b) OR (c NEAR/2 d) OR (e AND f)")
+        assert query_plan(node, merged=True) == query_plan(node)
+
+    def test_a_chain_operand_that_is_no_query_node_raises(self):
+        for operand in ("b", ("b", None)):
+            with pytest.raises(TypeError, match="not a query node"):
+                query_plan(Or(Term("a"), Or(operand, Term("c"))), merged=True)
+
 
 class TestRender:
     def test_basic_forms(self):
